@@ -44,6 +44,7 @@ from .operators import (
     discretize_on,
     fredholm_det_I_minus,
     interaction_diagonal,
+    interaction_diagonal_bound,
     interaction_values,
     local_interaction,
     loewner_gap,

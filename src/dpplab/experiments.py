@@ -26,7 +26,7 @@ from .densities import (
     psd_logdet,
 )
 from .errors import ConfigError, DimensionMismatch, ParameterOutOfRange
-from .geometry import Configuration, Window, restrict
+from .geometry import Configuration, Window, count_in, restrict
 from .kernels import FiniteRangeFourier, Kernel, RenewalExponential
 from .operators import (
     discretize,
@@ -554,10 +554,12 @@ def _sample_spectral_parallel(spec, window, n, count, seed, threads, disc=None) 
         )
 
     batches = _parallel(_split_ranges(count, threads * 4), job, threads)
-    configs = tuple(c for b in batches for c in b.configurations)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([b.counts() for b in batches]), out=offsets[1:])
     return SampleBatch(
         window=window,
-        configurations=configs,
+        coords=np.concatenate([b.coords for b in batches]),
+        offsets=offsets,
         seed=seed,
         method="dpp-spectral",
         params={"n": n, "count": count},
@@ -628,15 +630,8 @@ def _run_sampler_validation(kernel_cfg, p: Params, seed, threads, out_dir):
 
     batch = _sample_spectral_parallel(spec, window, n, m_spectral, _subseed(seed, 1), threads, disc)
     counts = batch.counts()
-
-    def pair_count(cfg: Configuration) -> int:
-        if len(cfg) < 2:
-            return 0
-        x = cfg.coords[:, 0]
-        d = np.abs(x[:, None] - x[None, :])
-        return int((np.sum(d <= pair_r) - len(cfg)) // 2)
-
-    pairs = np.array([pair_count(c) for c in batch.configurations])
+    near = percolation.close_pairs(batch, pair_r)
+    pairs = np.bincount(batch.sample_ids()[near[:, 0]], minlength=len(batch))
     empty = (counts == 0).astype(float)
 
     def zcheck(name, sample, truth):
@@ -844,16 +839,7 @@ def _run_vacuum_correlation(kernel_cfg, p: Params, seed, threads, out_dir):
             )
             sub = disc.matrix[np.ix_(in_u, in_u)]
             truth = float(np.exp(np.sum(np.log1p(-np.clip(np.linalg.eigvalsh(sub), 0.0, None)))))
-            both_empty = np.array(
-                [
-                    1.0
-                    if len(c) == 0
-                    else float(
-                        np.sum(wa.contains(c.coords)) + np.sum(wb.contains(c.coords)) == 0
-                    )
-                    for c in batch.configurations
-                ]
-            )
+            both_empty = (count_in(batch, wa) + count_in(batch, wb) == 0).astype(float)
             freq = float(both_empty.mean())
             se = math.sqrt(max(freq * (1 - freq), 1e-12) / mc_samples)
             z = (freq - truth) / se
@@ -1198,12 +1184,8 @@ def _run_percolation_curve(kernel_cfg, p: Params, seed, threads, out_dir):
         n = max(24, int(math.ceil(nodes_per_unit * length)))
         dpp = _sample_spectral_parallel(spec, window, n, reps, _subseed(seed, 20 + k), threads)
         poi = sample_poisson(zdiag, zdiag, window, reps, _subseed(seed, 40 + k))
-        span_d = np.array(
-            [percolation.spanning(c, window, radius) for c in dpp.configurations], dtype=float
-        )
-        span_p = np.array(
-            [percolation.spanning(c, window, radius) for c in poi.configurations], dtype=float
-        )
+        span_d = percolation.spanning(dpp, window, radius).astype(float)
+        span_p = percolation.spanning(poi, window, radius).astype(float)
         pd, pp = float(span_d.mean()), float(span_p.mean())
         sd = math.sqrt(max(pd * (1 - pd), 1e-12) / reps)
         sp = math.sqrt(max(pp * (1 - pp), 1e-12) / reps)

@@ -1,14 +1,16 @@
-"""Points, finite configurations, and rectangular windows.
+"""Points, finite configurations, sample batches, and rectangular windows.
 
 Configurations are finite simple point sets in dimension 1 or 2, stored
 in lexicographic order so that equality, hashing, and CSV round-trips are
-canonical.  Windows are closed axis-aligned boxes.
+canonical.  A sample batch stacks many configurations on one window into
+a single ragged array.  Windows are closed axis-aligned boxes.
 """
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -78,9 +80,6 @@ class Window:
         hi = np.asarray(self.upper)
         return np.all((coords >= lo) & (coords <= hi), axis=1)
 
-    def contains_point(self, point) -> bool:
-        return bool(self.contains(np.asarray(as_point(point))[None, :])[0])
-
     def pad(self, margin: float) -> "Window":
         return Window(
             tuple(l - margin for l in self.lower),
@@ -96,10 +95,27 @@ class Window:
         )
 
 
-def _lexsort(coords: np.ndarray) -> np.ndarray:
+def _canonical(coords: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+    """Read-only copy of the rows of `coords` in lexicographic order.
+
+    With `groups` (a nondecreasing label per row) rows are sorted within
+    each group and the groups keep their order.  Non-finite coordinates
+    and coincident points of one group are rejected.
+    """
+    if not np.all(np.isfinite(coords)):
+        raise DomainError("points have non-finite coordinates")
     # lexicographic by first coordinate, then second
-    keys = tuple(coords[:, k] for k in reversed(range(coords.shape[1])))
-    return np.lexsort(keys)
+    keys = [coords[:, k] for k in reversed(range(coords.shape[1]))]
+    if groups is not None:
+        keys.append(groups)
+    coords = coords[np.lexsort(keys)]
+    same = np.all(coords[1:] == coords[:-1], axis=1)
+    if groups is not None:
+        same &= groups[1:] == groups[:-1]
+    if np.any(same):
+        raise DuplicatePoint(f"coincident points at {tuple(coords[int(np.argmax(same))])}")
+    coords.flags.writeable = False
+    return coords
 
 
 class Configuration:
@@ -109,27 +125,11 @@ class Configuration:
 
     def __init__(self, points: Iterable = (), dimension: int | None = None):
         rows = [as_point(p) for p in points]
-        if rows:
-            dims = {len(r) for r in rows}
-            if len(dims) > 1:
-                raise DimensionMismatch(f"mixed point dimensions: {sorted(dims)}")
-            d = dims.pop()
-            if dimension is not None and dimension != d:
-                raise DimensionMismatch(f"points have dimension {d}, expected {dimension}")
-            coords = np.asarray(rows, dtype=float)
-            coords = coords[_lexsort(coords)]
-            same = np.all(coords[1:] == coords[:-1], axis=1) if len(coords) > 1 else ()
-            if len(coords) > 1 and np.any(same):
-                i = int(np.argmax(same))
-                raise DuplicatePoint(f"coincident points at {tuple(coords[i])}")
-        else:
-            if dimension is None:
-                raise DimensionMismatch("empty configuration needs an explicit dimension")
-            if dimension not in SUPPORTED_DIMENSIONS:
-                raise DimensionMismatch(f"dimension must be 1 or 2, got {dimension}")
-            coords = np.empty((0, dimension), dtype=float)
-        coords.flags.writeable = False
-        object.__setattr__(self, "_coords", coords)
+        dims = {len(r) for r in rows}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"mixed point dimensions: {sorted(dims)}")
+        coords = np.array(rows, dtype=float) if rows else np.empty((0, 0))
+        object.__setattr__(self, "_coords", Configuration.from_coords(coords, dimension)._coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
@@ -140,10 +140,21 @@ class Configuration:
 
     @classmethod
     def from_coords(cls, coords: np.ndarray, dimension: int | None = None) -> "Configuration":
+        """Configuration of the rows of an (n, d) array (n values when d = 1)."""
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
-        return cls((tuple(row) for row in coords), dimension=dimension or coords.shape[1])
+        n, d = coords.shape
+        dimension = dimension or d
+        if not dimension:
+            raise DimensionMismatch("empty configuration needs an explicit dimension")
+        if n and dimension != d:
+            raise DimensionMismatch(f"points have dimension {d}, expected {dimension}")
+        if dimension not in SUPPORTED_DIMENSIONS:
+            raise DimensionMismatch(f"dimension must be 1 or 2, got {dimension}")
+        config = cls.__new__(cls)
+        object.__setattr__(config, "_coords", _canonical(coords.reshape(n, dimension)))
+        return config
 
     @property
     def coords(self) -> np.ndarray:
@@ -182,12 +193,64 @@ class Configuration:
         return float(dist.min())
 
 
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """A batch of configurations drawn by one sampler on one window.
+
+    `coords` stacks every sample's points in one (N, d) array, each sample
+    in canonical (lexicographic) order; sample i is
+    `coords[offsets[i]:offsets[i + 1]]`.  Both arrays are read-only.
+    """
+
+    window: Window
+    coords: np.ndarray
+    offsets: np.ndarray
+    seed: int
+    method: str
+    params: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        offsets = np.array(self.offsets, dtype=np.int64)
+        rising = offsets.ndim == 1 and offsets.size and np.all(np.diff(offsets) >= 0)
+        if not (rising and offsets[0] == 0 and offsets[-1] == len(self.coords)):
+            raise DomainError("sample offsets must rise from 0 to the number of points")
+        offsets.flags.writeable = False
+        object.__setattr__(self, "offsets", offsets)
+        coords = np.asarray(self.coords, dtype=float).reshape(-1, self.window.dimension)
+        object.__setattr__(self, "coords", _canonical(coords, self.sample_ids()))
+
+    @classmethod
+    def from_samples(cls, window: Window, samples: Sequence[np.ndarray], **fields) -> "SampleBatch":
+        """Batch of one (n_i, d) point array per sample; `fields` are the other fields."""
+        offsets = np.zeros(len(samples) + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in samples], out=offsets[1:])
+        d = window.dimension
+        coords = np.concatenate(samples).reshape(-1, d) if len(samples) else np.empty((0, d))
+        return cls(window=window, coords=coords, offsets=offsets, **fields)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def sample_ids(self) -> np.ndarray:
+        """Index of the sample each row of `coords` belongs to."""
+        return np.repeat(np.arange(len(self)), self.counts())
+
+    @cached_property
+    def configurations(self) -> tuple[Configuration, ...]:
+        """The samples as configurations, built on first access."""
+        d = self.window.dimension
+        return tuple(
+            Configuration.from_coords(self.coords[a:b], dimension=d)
+            for a, b in zip(self.offsets[:-1], self.offsets[1:])
+        )
+
+
 def restrict(config: Configuration, window: Window) -> Configuration:
     """Sub-configuration of points lying in the closed window."""
-    if config.dimension != window.dimension:
-        raise DimensionMismatch("configuration and window dimensions differ")
-    if len(config) == 0:
-        return config
     mask = window.contains(config.coords)
     return Configuration.from_coords(config.coords[mask], dimension=config.dimension)
 
@@ -200,13 +263,12 @@ def union(a: Configuration, b: Configuration) -> Configuration:
     return Configuration.from_coords(merged, dimension=a.dimension)
 
 
-def count_in(config: Configuration, window: Window) -> int:
-    """Number of configuration points inside the closed window."""
-    if len(config) == 0:
-        if config.dimension != window.dimension:
-            raise DimensionMismatch("configuration and window dimensions differ")
-        return 0
-    return int(np.sum(window.contains(config.coords)))
+def count_in(config: Configuration | SampleBatch, window: Window) -> int | np.ndarray:
+    """Number of points inside the closed window; per sample (an array) for a batch."""
+    inside = window.contains(config.coords)
+    if isinstance(config, Configuration):
+        return int(np.sum(inside))
+    return np.bincount(config.sample_ids()[inside], minlength=len(config))
 
 
 _HEADERS = {1: ["x"], 2: ["x", "y"]}

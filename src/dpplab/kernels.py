@@ -59,6 +59,10 @@ class Kernel:
         """An a priori upper bound for the operator norm of K (< 1)."""
         raise NotImplementedError
 
+    def diagonal_bound(self) -> float:
+        """An upper bound for sup_x K(x, x)."""
+        raise NotImplementedError
+
     def _check_dim(self, X: np.ndarray):
         if X.shape[1] != self.dimension:
             raise DimensionMismatch(
@@ -166,6 +170,9 @@ class RenewalExponential(Kernel):
     def norm_bound(self) -> float:
         # sup of the Fourier transform 2 rho a / (a^2 + t^2) sits at t = 0
         return 2.0 * self.rho / self.a
+
+    def diagonal_bound(self) -> float:
+        return self.rho
 
     @property
     def interaction_diagonal(self) -> float:
@@ -345,6 +352,11 @@ class FiniteRangeFourier(_JPrimitiveKernel):
         cell = (2 * self.R / (n - 1)) ** self.dimension
         return float(vals.sum() * cell)
 
+    def diagonal_bound(self) -> float:
+        # the context's K(x, x) = sum_i (s_x . u_i)^2 / (nu_i (1 + nu_i)) is at most
+        # s_x . M_J^+ s_x <= J(x, x) = j(0), as the J Gram matrix of x and the nodes is PSD
+        return self.interaction_diagonal
+
     @property
     def interaction_diagonal(self) -> float:
         base = self.amplitude
@@ -417,6 +429,11 @@ class Modulated(_JPrimitiveKernel):
             self._rule.weights @ (jz * self._psi_weights[None, :]) @ self._rule.weights
         )
         return abs(total)
+
+    def diagonal_bound(self) -> float:
+        # K(x, x) <= L(x, x) as for FiniteRangeFourier; L(x, x) = sum_q w_q psi(z_q)
+        # j(x - z_q)^2 and |j| <= j(0)
+        return self.base.interaction_diagonal**2 * float(self._psi_weights.sum())
 
 
 def estimate_operator_norm(spec: Kernel, window: Window, n: int) -> float:

@@ -112,8 +112,9 @@ def discretize(
 ) -> DiscretizedOperator:
     """Symmetrized Nystrom matrix of K or J on `window` with n nodes per axis.
 
-    For derived-correlation families, `which='K'` first pins the kernel's
-    padded evaluation context to this window so repeated calls reuse it.
+    Derived-correlation families evaluate K in whatever padded context
+    their kernel holds at the time; a later query outside it rebuilds the
+    context, so values are not pinned to this window.
     """
     if which not in ("K", "J"):
         raise DomainError(f"which must be 'K' or 'J', got {which!r}")
@@ -266,6 +267,16 @@ def interaction_diagonal(op: DiscretizedOperator, X) -> np.ndarray:
     solved = scipy.linalg.cho_solve(cho, SX)
     kxx = np.array([float(op.spec.k_values(row[None, :], row[None, :])[0, 0]) for row in X])
     return kxx + np.einsum("ip,ip->p", SX, solved)
+
+
+def interaction_diagonal_bound(op: DiscretizedOperator) -> float:
+    """Certified bound sup_x K(x, x) / (1 - lambda_max) >= J_[Lambda](x, x) at every x.
+
+    The weighted Gram matrix of {x} and the nodes is PSD, so s_x . M^+ s_x
+    <= K(x, x), hence s_x . (I - M)^{-1} s_x <= K(x, x) lambda_max / (1 - lambda_max).
+    """
+    vals = _gate(op)
+    return op.spec.diagonal_bound() / (1.0 - (vals[0] if vals.size else 0.0))
 
 
 def restrict_interaction(op: DiscretizedOperator, quad: Quadrature) -> DiscretizedOperator:

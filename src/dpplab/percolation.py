@@ -2,8 +2,8 @@
 
 Points carry closed Euclidean balls of a given radius; two points are
 connected when their balls overlap, i.e. when their distance is at most
-twice the radius.  Decomposition uses union-find over grid buckets of
-cell size 2 * radius, so only the 3^d neighboring cells are scanned.
+twice the radius.  Links come from one k-d tree search per configuration
+or per whole `SampleBatch`, clusters from vectorized label propagation.
 """
 from __future__ import annotations
 
@@ -11,32 +11,40 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError
-from .geometry import Configuration, Window
+from .geometry import Configuration, SampleBatch, Window
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+def close_pairs(points: Configuration | SampleBatch, link: float) -> np.ndarray:
+    """(pairs, 2) array of row indices i < j of one sample at distance <= `link`.
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
+    The tree only proposes candidates; the distance test is exact.
+    """
+    coords = points.coords
+    ids = points.sample_ids() if isinstance(points, SampleBatch) else np.zeros(len(coords))
+    # an extra coordinate 2 * link apart per sample keeps samples out of each other's reach
+    tree = cKDTree(np.column_stack([coords, 2.0 * link * ids]))
+    pairs = tree.query_pairs(link * (1.0 + 1e-9), output_type="ndarray")
+    diff = coords[pairs[:, 0]] - coords[pairs[:, 1]]
+    return pairs[np.sum(diff * diff, axis=1) <= link * link]
 
-    def join(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
+
+def _components(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Cluster ids 0..k-1 in order of each cluster's first point."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    labels = np.arange(n)
+    while True:
+        # each point takes the smallest label across its links, then that
+        # label's own label; labels only fall, and stop once every link agrees
+        low = labels.copy()
+        np.minimum.at(low, i, labels[j])
+        np.minimum.at(low, j, labels[i])
+        low = low[low]
+        if np.array_equal(low, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = low
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,7 @@ class ClusterDecomposition:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
     def sizes(self) -> np.ndarray:
-        if not self.labels.size:
-            return np.zeros(0, dtype=int)
         return np.bincount(self.labels, minlength=self.n_clusters)
-
-    def members(self, cluster: int) -> np.ndarray:
-        return self.coords[self.labels == cluster]
 
     def largest_fraction(self) -> float:
         """Share of points in the largest cluster; 0 for an empty set."""
@@ -70,46 +73,16 @@ class ClusterDecomposition:
         return float(self.sizes().max() / self.n_points)
 
 
-def decompose(config: Configuration, radius: float) -> ClusterDecomposition:
-    """Cluster labels for balls of `radius` (distance <= 2*radius connects)."""
+def decompose(config: Configuration | SampleBatch, radius: float) -> ClusterDecomposition:
+    """Cluster labels for balls of `radius` (distance <= 2*radius connects).
+
+    For a batch, labels run over the stacked points of all samples; no
+    cluster spans two samples.
+    """
     if radius <= 0 or not np.isfinite(radius):
         raise DomainError(f"radius must be positive and finite, got {radius}")
     coords = config.coords
-    n = coords.shape[0]
-    if n == 0:
-        return ClusterDecomposition(coords, float(radius), np.zeros(0, dtype=int))
-    link = 2.0 * radius
-    cell = link
-    keys = np.floor(coords / cell).astype(np.int64)
-    buckets: dict[tuple, list[int]] = {}
-    for i, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(i)
-    uf = _UnionFind(n)
-    d = coords.shape[1]
-    offsets = (
-        [(dx,) for dx in (-1, 0, 1)]
-        if d == 1
-        else [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    )
-    link2 = link * link
-    for key, members in buckets.items():
-        for off in offsets:
-            other = tuple(k + o for k, o in zip(key, off))
-            if other not in buckets or other < key:
-                continue
-            cand = buckets[other]
-            for i in members:
-                for j in cand:
-                    if other == key and j <= i:
-                        continue
-                    diff = coords[i] - coords[j]
-                    if float(diff @ diff) <= link2:
-                        uf.join(i, j)
-    roots = [uf.find(i) for i in range(n)]
-    remap: dict[int, int] = {}
-    labels = np.empty(n, dtype=int)
-    for i, r in enumerate(roots):
-        labels[i] = remap.setdefault(r, len(remap))
+    labels = _components(len(coords), close_pairs(config, 2.0 * radius))
     return ClusterDecomposition(coords, float(radius), labels)
 
 
@@ -119,33 +92,30 @@ def hull_of(added: Configuration, given: Configuration, radius: float) -> Config
     This is the configuration part of the hull W(added, given): the union
     of clusters of the joint Boolean model that contain an added point.
     """
-    if len(given) == 0:
-        return given
-    joint = np.concatenate([added.coords, given.coords], axis=0)
-    dec = decompose(Configuration.from_coords(joint), radius)
-    # Configuration canonicalizes point order, so match labels by value
-    label_at = {tuple(row): lab for row, lab in zip(dec.coords, dec.labels)}
-    touched = {label_at[tuple(row)] for row in added.coords}
-    mask = np.array([label_at[tuple(row)] in touched for row in given.coords])
-    return Configuration.from_coords(given.coords[mask], dimension=given.dimension)
+    joint = Configuration.from_coords(np.concatenate([added.coords, given.coords], axis=0))
+    dec = decompose(joint, radius)
+    is_added = np.any(np.all(joint.coords[:, None, :] == added.coords[None, :, :], axis=2), axis=1)
+    in_hull = np.isin(dec.labels, dec.labels[is_added]) & ~is_added
+    return Configuration.from_coords(joint.coords[in_hull], dimension=given.dimension)
 
 
-def spanning(config: Configuration, window: Window, radius: float, axis: int = 0) -> bool:
-    """True when one cluster's balls touch both opposite faces along `axis`."""
-    if len(config) == 0:
-        return False
+def spanning(
+    config: Configuration | SampleBatch, window: Window, radius: float, axis: int = 0
+) -> bool | np.ndarray:
+    """True when one cluster's balls touch both opposite faces along `axis`.
+
+    A bool for a configuration; a bool array, one per sample, for a batch.
+    """
     dec = decompose(config, radius)
     lo = window.lower[axis] + radius
     hi = window.upper[axis] - radius
-    if hi < lo:
-        # window thinner than one ball: any cluster touches both faces
-        return True
-    x = config.coords[:, axis]
-    touch_lo = np.zeros(dec.n_clusters, dtype=bool)
-    touch_hi = np.zeros(dec.n_clusters, dtype=bool)
-    np.logical_or.at(touch_lo, dec.labels, x <= lo)
-    np.logical_or.at(touch_hi, dec.labels, x >= hi)
-    return bool(np.any(touch_lo & touch_hi))
+    x, k = config.coords[:, axis], dec.n_clusters
+    both = (np.bincount(dec.labels, x <= lo, k) > 0) & (np.bincount(dec.labels, x >= hi, k) > 0)
+    # a window thinner than one ball is spanned by any cluster
+    spans = np.full(len(x), True) if hi < lo else both[dec.labels]
+    if isinstance(config, Configuration):
+        return bool(np.any(spans))
+    return np.bincount(config.sample_ids()[spans], minlength=len(config)) > 0
 
 
 @dataclass(frozen=True)
@@ -159,26 +129,25 @@ class CurvePoint:
 
 
 def percolation_curve(
-    sample: Callable[[Window, int], Sequence[Configuration]],
+    sample: Callable[[Window, int], SampleBatch],
     radius: float,
     windows: Sequence[Window],
     reps: int,
 ) -> list[CurvePoint]:
     """Largest-cluster fraction and spanning probability across windows.
 
-    `sample(window, reps)` must return `reps` configurations; seeding is
-    the caller's business so processes can be compared on equal terms.
+    `sample(window, reps)` must return a batch of `reps` samples; seeding
+    is the caller's business so processes can be compared on equal terms.
     """
     out = []
     for window in windows:
-        configs = sample(window, reps)
-        fractions = np.empty(len(configs))
-        spans = np.empty(len(configs), dtype=bool)
-        for i, cfg in enumerate(configs):
-            dec = decompose(cfg, radius)
-            fractions[i] = dec.largest_fraction()
-            spans[i] = spanning(cfg, window, radius)
-        k = len(configs)
+        batch = sample(window, reps)
+        dec = decompose(batch, radius)
+        largest = np.zeros(len(batch))
+        np.maximum.at(largest, batch.sample_ids(), dec.sizes()[dec.labels])
+        fractions = largest / np.maximum(batch.counts(), 1)
+        spans = spanning(batch, window, radius)
+        k = len(batch)
         p = float(spans.mean())
         out.append(
             CurvePoint(

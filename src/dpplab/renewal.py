@@ -115,7 +115,7 @@ def sample_stationary_renewal(
     lo, hi = window.lower[0], window.upper[0]
     gap_table = _InverseCdfTable(lambda s: spacing_cdf(forms, s), tail_start=8.0 / forms.rho)
     delay_table = _InverseCdfTable(lambda s: delay_cdf(forms, s), tail_start=8.0 / forms.rho)
-    configs = []
+    samples = []
     for i in range(count):
         rng = stream(seed, i)
         pts = []
@@ -123,10 +123,10 @@ def sample_stationary_renewal(
         while x <= hi:
             pts.append(x)
             x += float(gap_table.sample(rng, 1)[0])
-        configs.append(Configuration([(p,) for p in pts], dimension=1))
-    return SampleBatch(
-        window=window,
-        configurations=tuple(configs),
+        samples.append(np.array(pts).reshape(-1, 1))
+    return SampleBatch.from_samples(
+        window,
+        samples,
         seed=seed,
         method="renewal",
         params={"rho": forms.rho, "a": forms.a, "count": count},

@@ -6,23 +6,22 @@ given (seed, parameters) regardless of chunking.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BadBound, DomainError, NumericalBreakdown
-from .geometry import Configuration, Window, count_in
+from .geometry import SampleBatch, Window, count_in
 from .kernels import Kernel
 from .operators import (
     DiscretizedOperator,
     discretize,
-    interaction_diagonal,
+    interaction_diagonal_bound,
     interaction_values,
-    local_interaction,
     operator_trace,
 )
+from .percolation import close_pairs
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,24 +30,6 @@ def stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one sample index."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """A batch of configurations drawn by one sampler on one window."""
-
-    window: Window
-    configurations: tuple[Configuration, ...]
-    seed: int
-    method: str
-    params: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.configurations)
-
-    def counts(self) -> np.ndarray:
-        return np.array([len(c) for c in self.configurations], dtype=int)
 
 
 def _uniform_in(window: Window, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -78,7 +59,7 @@ def sample_poisson(
     if constant and intensity > bound * (1 + 1e-12):
         raise BadBound(f"intensity {intensity} exceeds the envelope {bound}")
     rate = bound * window.volume
-    configs = []
+    samples = []
     for i in range(count):
         rng = stream(seed, index_offset + i)
         n = int(rng.poisson(rate)) if rate > 0 else 0
@@ -94,13 +75,9 @@ def sample_poisson(
         elif n and constant and intensity < bound:
             keep = rng.random(n) * bound < intensity
             pts = pts[keep]
-        configs.append(Configuration.from_coords(pts, dimension=window.dimension))
-    return SampleBatch(
-        window=window,
-        configurations=tuple(configs),
-        seed=seed,
-        method="poisson",
-        params={"bound": bound, "count": count},
+        samples.append(pts)
+    return SampleBatch.from_samples(
+        window, samples, seed=seed, method="poisson", params={"bound": bound, "count": count}
     )
 
 
@@ -169,36 +146,19 @@ def sample_dpp_spectral(
     if lams.size and lams[0] >= 1.0:
         raise NumericalBreakdown(f"eigenvalue {lams[0]} >= 1 in the sampler")
     nodes = disc.quad.nodes
-    configs = []
+    samples = []
     for i in range(count):
         rng = stream(seed, index_offset + i)
         select = rng.random(lams.size) < lams
-        if not np.any(select):
-            configs.append(Configuration.empty(window.dimension))
-            continue
-        idx = _projection_sample(U[:, select], rng)
-        configs.append(Configuration.from_coords(nodes[idx], dimension=window.dimension))
-    return SampleBatch(
-        window=window,
-        configurations=tuple(configs),
+        samples.append(nodes[_projection_sample(U[:, select], rng)] if np.any(select) else nodes[:0])
+    return SampleBatch.from_samples(
+        window,
+        samples,
         seed=seed,
         method="dpp-spectral",
         params={"n": n, "count": count},
         metadata={"expected_count": float(lams.sum()), "nodes": nodes.shape[0]},
     )
-
-
-def _interaction_sup(disc: DiscretizedOperator, window: Window, grid: int = 512) -> float:
-    """Grid estimate of sup_x J_[Lambda](x, x) with a small safety factor."""
-    if window.dimension == 1:
-        xs = np.linspace(window.lower[0], window.upper[0], grid)[:, None]
-    else:
-        g = int(np.sqrt(grid)) + 1
-        ax = [np.linspace(lo, hi, g) for lo, hi in zip(window.lower, window.upper)]
-        g0, g1 = np.meshgrid(*ax, indexing="ij")
-        xs = np.column_stack([g0.ravel(), g1.ravel()])
-    vals = interaction_diagonal(disc, xs)
-    return float(vals.max() * 1.0001 + 1e-12)
 
 
 def sample_dpp_birth_death(
@@ -217,15 +177,16 @@ def sample_dpp_birth_death(
 ) -> SampleBatch:
     """Spatial birth-death chain with the local compound intensity.
 
-    Births are proposed uniformly at envelope rate sup_x J(x,x) * |window|
-    and accepted with probability c(x, xi) / envelope; each point dies at
+    Births are proposed uniformly at envelope rate B * |window|, with B the
+    certified bound on sup_x J(x,x) from `interaction_diagonal_bound`, and
+    accepted with probability c(x, xi) / B; each point dies at
     rate 1.  The acceptance ratio c(x, xi) / J(x, x) must stay in [0, 1]
     (hard assertion).  Time is measured in death-rate units; defaults for
     `burn_in` and `thinning` convert the usual event-count heuristics
     (20x and 5x the expected population).
     """
     disc = disc or discretize(spec, "K", window, n, panels=panels)
-    jmax = _interaction_sup(disc, window)
+    jmax = interaction_diagonal_bound(disc)
     expected = max(operator_trace(disc), 1e-9)
     birth_rate = jmax * window.volume
     event_rate = birth_rate + max(expected, 1.0)
@@ -236,7 +197,7 @@ def sample_dpp_birth_death(
     chains = max(1, min(chains, count))
     per_chain = [count // chains + (1 if c < count % chains else 0) for c in range(chains)]
 
-    def one_chain(chain_idx: int) -> list[Configuration]:
+    def one_chain(chain_idx: int) -> list[np.ndarray]:
         rng = stream(seed, chain_idx)
         return _run_birth_death_chain(
             disc, window, rng, per_chain[chain_idx], burn_in, thinning, jmax, birth_rate
@@ -246,13 +207,12 @@ def sample_dpp_birth_death(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(threads, chains)) as pool:
-            configs_by_chain = list(pool.map(one_chain, range(chains)))
+            by_chain = list(pool.map(one_chain, range(chains)))
     else:
-        configs_by_chain = [one_chain(c) for c in range(chains)]
-    configs = [cfg for chain in configs_by_chain for cfg in chain]
-    return SampleBatch(
-        window=window,
-        configurations=tuple(configs),
+        by_chain = [one_chain(c) for c in range(chains)]
+    return SampleBatch.from_samples(
+        window,
+        [sample for chain in by_chain for sample in chain],
         seed=seed,
         method="dpp-birth-death",
         params={
@@ -275,10 +235,10 @@ def _run_birth_death_chain(
     thinning: float,
     jmax: float,
     birth_rate: float,
-) -> list[Configuration]:
+) -> list[np.ndarray]:
     pts: list[np.ndarray] = []
     jmat = np.zeros((0, 0))
-    out: list[Configuration] = []
+    out: list[np.ndarray] = []
     t = 0.0
     next_sample = burn_in
     while len(out) < wanted:
@@ -287,12 +247,11 @@ def _run_birth_death_chain(
         if rate <= 0:
             # absorbing empty state: emit the remaining samples directly
             while len(out) < wanted:
-                out.append(Configuration.empty(window.dimension))
+                out.append(np.empty((0, window.dimension)))
             break
         dt = rng.exponential(1.0 / rate)
         while t + dt >= next_sample and len(out) < wanted:
-            coords = np.array(pts).reshape(m, window.dimension)
-            out.append(Configuration.from_coords(coords, dimension=window.dimension))
+            out.append(np.array(pts).reshape(m, window.dimension))
             next_sample += thinning
         t += dt
         if rng.random() * rate < birth_rate:
@@ -333,42 +292,37 @@ def _run_birth_death_chain(
 # increasing statistics and the domination check
 
 
-def total_count(config: Configuration, window: Window) -> float:
-    return float(len(config))
+def total_count(batch: SampleBatch) -> np.ndarray:
+    """Number of points of each sample."""
+    return batch.counts().astype(float)
 
 
-def max_quadrant_count(config: Configuration, window: Window) -> float:
-    """Largest count over a fixed split into 4 congruent subwindows."""
-    if len(config) == 0:
-        return 0.0
+def max_quadrant_count(batch: SampleBatch) -> np.ndarray:
+    """Largest count over a fixed split into 4 congruent closed subwindows.
+
+    A point on an edge shared by two subwindows counts in both.
+    """
+    window = batch.window
     if window.dimension == 1:
-        lo, hi = window.lower[0], window.upper[0]
-        edges = np.linspace(lo, hi, 5)
-        best = 0
-        for k in range(4):
-            sub = Window.interval(edges[k], edges[k + 1])
-            best = max(best, count_in(config, sub))
-        return float(best)
-    (lx, ly), (ux, uy) = window.lower, window.upper
-    mx, my = 0.5 * (lx + ux), 0.5 * (ly + uy)
-    best = 0
-    for a, b in ((lx, ly), (lx, my), (mx, ly), (mx, my)):
-        sub = Window.box((a, b), (a + (ux - lx) / 2, b + (uy - ly) / 2))
-        best = max(best, count_in(config, sub))
-    return float(best)
+        edges = np.linspace(window.lower[0], window.upper[0], 5)
+        quadrants = [Window.interval(edges[k], edges[k + 1]) for k in range(4)]
+    else:
+        (lx, ly), (ux, uy) = window.lower, window.upper
+        mx, my = 0.5 * (lx + ux), 0.5 * (ly + uy)
+        quadrants = [
+            Window.box((a, b), (a + (ux - lx) / 2, b + (uy - ly) / 2))
+            for a, b in ((lx, ly), (lx, my), (mx, ly), (mx, my))
+        ]
+    return np.max([count_in(batch, q) for q in quadrants], axis=0).astype(float)
 
 
-def neighbor_count(radius: float) -> Callable[[Configuration, Window], float]:
+def neighbor_count(radius: float) -> Callable[[SampleBatch], np.ndarray]:
     """Number of points having another point within `radius` (increasing)."""
 
-    def stat(config: Configuration, window: Window) -> float:
-        m = len(config)
-        if m < 2:
-            return 0.0
-        diff = config.coords[:, None, :] - config.coords[None, :, :]
-        dist2 = np.sum(diff * diff, axis=2)
-        np.fill_diagonal(dist2, np.inf)
-        return float(np.sum(np.any(dist2 <= radius * radius, axis=1)))
+    def stat(batch: SampleBatch) -> np.ndarray:
+        has_neighbor = np.zeros(len(batch.coords), dtype=bool)
+        has_neighbor[close_pairs(batch, radius).ravel()] = True
+        return np.bincount(batch.sample_ids()[has_neighbor], minlength=len(batch)).astype(float)
 
     return stat
 
@@ -395,18 +349,18 @@ class DominationReport:
 def domination_test(
     dominated: SampleBatch,
     dominating: SampleBatch,
-    functionals: Sequence[tuple[str, Callable[[Configuration, Window], float]]] | None = None,
+    functionals: Sequence[tuple[str, Callable[[SampleBatch], np.ndarray]]] | None = None,
     z_threshold: float = 3.0,
 ) -> DominationReport:
     """Compare means of increasing statistics between two batches.
 
-    Stochastic domination of `dominated` by `dominating` implies every
-    increasing statistic has a smaller (or equal) mean; a violation
-    beyond `z_threshold` standard errors flags the pair.
+    A statistic maps a batch to one value per sample.  Stochastic
+    domination of `dominated` by `dominating` implies every increasing
+    statistic has a smaller (or equal) mean; a violation beyond
+    `z_threshold` standard errors flags the pair.
     """
-    window = dominated.window
     if functionals is None:
-        r = min(window.sides) / 8.0
+        r = min(dominated.window.sides) / 8.0
         functionals = [
             ("total_count", total_count),
             ("max_quadrant_count", max_quadrant_count),
@@ -414,8 +368,8 @@ def domination_test(
         ]
     rows = []
     for name, fn in functionals:
-        a = np.array([fn(c, window) for c in dominated.configurations])
-        b = np.array([fn(c, window) for c in dominating.configurations])
+        a = fn(dominated)
+        b = fn(dominating)
         se = float(np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b)))
         diff = float(a.mean() - b.mean())
         z = diff / se if se > 0 else (0.0 if diff <= 0 else np.inf)
@@ -444,17 +398,15 @@ def save_batch(batch: SampleBatch, prefix) -> tuple[str, str]:
     d = batch.window.dimension
     header = "sample_id,x" if d == 1 else "sample_id,x,y"
     lines = [header]
-    for i, cfg in enumerate(batch.configurations):
-        for row in cfg.coords:
-            coords = ",".join(f"{c:.17g}" for c in row)
-            lines.append(f"{i},{coords}")
+    for i, row in zip(batch.sample_ids().tolist(), batch.coords.tolist()):
+        lines.append(f"{i}," + ",".join(f"{c:.17g}" for c in row))
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     meta = [
         "[batch]",
         f"method = {batch.method}",
         f"seed = {batch.seed}",
-        f"count = {len(batch.configurations)}",
+        f"count = {len(batch)}",
         f"dimension = {d}",
         f"window_lower = {','.join(str(v) for v in batch.window.lower)}",
         f"window_upper = {','.join(str(v) for v in batch.window.upper)}",
@@ -483,7 +435,7 @@ def load_batch(prefix) -> SampleBatch:
         tuple(float(v) for v in sec["window_lower"].split(",")),
         tuple(float(v) for v in sec["window_upper"].split(",")),
     )
-    rows: dict[int, list] = {}
+    ids, rows = [], []
     with open(prefix + ".csv", "r", encoding="utf-8") as fh:
         header = fh.readline()
         expected = "sample_id,x" if d == 1 else "sample_id,x,y"
@@ -493,15 +445,17 @@ def load_batch(prefix) -> SampleBatch:
             parts = line.strip().split(",")
             if len(parts) != 1 + d:
                 raise DomainError(f"malformed batch row {line.strip()!r}")
-            rows.setdefault(int(parts[0]), []).append(tuple(float(v) for v in parts[1:]))
-    configs = [
-        Configuration(rows.get(i, ()), dimension=d) for i in range(count)
-    ]
+            ids.append(int(parts[0]))
+            rows.append([float(v) for v in parts[1:]])
+    # sample ids outside 0..count-1 leave offsets that SampleBatch rejects
+    ids = np.array(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
     params = dict(parser["params"]) if parser.has_section("params") else {}
     metadata = dict(parser["metadata"]) if parser.has_section("metadata") else {}
     return SampleBatch(
         window=window,
-        configurations=tuple(configs),
+        coords=np.array(rows, dtype=float).reshape(-1, d)[order],
+        offsets=np.searchsorted(ids[order], np.arange(count + 1)),
         seed=sec.getint("seed"),
         method=sec["method"],
         params=params,

@@ -8,7 +8,11 @@ the only question is whether the headline guarantee holds end to end.
 
 from __future__ import annotations
 
+import pytest
+
 from dpplab import experiments
+
+pytestmark = pytest.mark.acceptance
 
 
 def _drive(capsys, tag, name, params=None, kernel=None, seed=0):

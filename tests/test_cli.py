@@ -47,6 +47,13 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out_b), "--seed", "4"]) == 0
         assert (out_a / "results.csv").read_bytes() != (out_b / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", [1002, 2000, 401002, 404000, 406001, 408001, 410001])
+    def test_birth_death_envelope_holds_at_logged_seeds(self, tmp_path, seed):
+        # these seeds once ended in exit code 3: a birth acceptance above the
+        # birth-death envelope
+        ini = str(EXAMPLES / "sampler-validation.ini")
+        assert main(["run", ini, "--seed", str(seed), "--out", str(tmp_path)]) != 3
+
     def test_all_example_configs_parse(self, tmp_path):
         # cheap structural check: every documented example names a real
         # experiment and passes config validation (mangled name -> error)

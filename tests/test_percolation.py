@@ -150,7 +150,7 @@ class TestCurve:
             from dpplab.samplers import sample_poisson
 
             rng_seed[0] += 1
-            return sample_poisson(1.2, 1.2, window, reps, seed=rng_seed[0]).configurations
+            return sample_poisson(1.2, 1.2, window, reps, seed=rng_seed[0])
 
         windows = [Window.interval(0.0, L) for L in (4.0, 8.0)]
         curve = percolation_curve(sample, radius=1.0, windows=windows, reps=150)

@@ -7,7 +7,12 @@ import pytest
 from dpplab.errors import BadBound
 from dpplab.geometry import Configuration, Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
-from dpplab.operators import discretize, fredholm_det_I_minus, operator_trace
+from dpplab.operators import (
+    discretize,
+    fredholm_det_I_minus,
+    interaction_diagonal,
+    operator_trace,
+)
 from dpplab.samplers import (
     domination_test,
     load_batch,
@@ -108,6 +113,25 @@ class TestBirthDeath:
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         # thinned chains are still mildly correlated: allow 6 naive SEs
         assert abs(counts.mean() - operator_trace(disc)) <= 6 * se
+
+
+class TestEnvelope:
+    # the renewal case on [0, 6] once took its envelope from a grid that
+    # missed the peak between grid points; the other two exceed the closed
+    # J(x, x) of the undiscretized kernel
+    @pytest.mark.parametrize(
+        "spec, window, n",
+        [
+            (SPEC, WINDOW, 96),
+            (FiniteRangeFourier(1.0, 0.8, dimension=1), WINDOW, 100),
+            (RenewalExponential(0.45, 1.0), Window.interval(0.0, 24.0), 240),
+        ],
+    )
+    def test_envelope_bounds_the_interaction_diagonal(self, spec, window, n):
+        disc = discretize(spec, "K", window, n)
+        batch = sample_dpp_birth_death(spec, window, n, 1, seed=18, disc=disc, chains=1)
+        xs = np.linspace(window.lower[0], window.upper[0], 12001)[:, None]
+        assert interaction_diagonal(disc, xs).max() <= batch.metadata["envelope"]
 
 
 class TestDomination:
