@@ -64,6 +64,7 @@ from .densities import (
     compound_intensity,
     conditional_kernel,
     correlation,
+    determinant_ratios,
     janossy_density,
     janossy_normalization,
     vacuum_probability,

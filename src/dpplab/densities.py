@@ -65,20 +65,14 @@ class DeterminantRatio:
 
     @property
     def value(self) -> float:
-        if np.isneginf(self.denominator_logdet) or np.isneginf(self.numerator_logdet):
+        if -math.inf in (self.denominator_logdet, self.numerator_logdet):
             return 0.0
         return float(np.exp(self.numerator_logdet - self.denominator_logdet))
 
 
 def psd_logdet(matrix: np.ndarray) -> float:
     """log det of a PSD matrix; -inf for singular/indefinite/underflow."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return 0.0
-    sign, logdet = np.linalg.slogdet(matrix)
-    if sign <= 0 or logdet <= LOG_UNDERFLOW:
-        return float("-inf")
-    return float(logdet)
+    return _stack_logdets(np.asarray(matrix, dtype=float)[None])[0]
 
 
 def _check_simple(config: Configuration, label: str = "configuration") -> None:
@@ -169,21 +163,54 @@ def _log_of_fraction(f: Fraction) -> float:
     return out if out > LOG_UNDERFLOW else float("-inf")
 
 
-def _stacked_ratio(values_full: np.ndarray, keep_tail: int) -> DeterminantRatio:
-    n = values_full.shape[0]
-    if 0 < n <= EXACT_SIZE_LIMIT:
-        spectrum = np.linalg.eigvalsh(values_full)
-        if spectrum[-1] <= 0 or spectrum[0] < RCOND_EXACT * spectrum[-1]:
-            num = _log_of_fraction(_det_fraction(values_full))
-            den = 0.0
-            if keep_tail:
-                den = _log_of_fraction(
-                    _det_fraction(values_full[-keep_tail:, -keep_tail:])
-                )
-            return DeterminantRatio(num, den)
-    num = psd_logdet(values_full)
-    den = psd_logdet(values_full[-keep_tail:, -keep_tail:]) if keep_tail else 0.0
-    return DeterminantRatio(num, den)
+def _stack_logdets(stack: np.ndarray) -> list[float]:
+    """log det of every PSD matrix of a (t, m, m) stack (0 for m = 0);
+    -inf for singular/indefinite/underflow."""
+    sign, logdet = np.linalg.slogdet(stack)
+    return [
+        value if sgn > 0 and value > LOG_UNDERFLOW else float("-inf")
+        for sgn, value in zip(sign.tolist(), logdet.tolist())
+    ]
+
+
+def _exact_ratio(block: np.ndarray, k: int) -> DeterminantRatio:
+    top = _det_fraction(block)
+    bottom = _det_fraction(block[-k:, -k:]) if k else Fraction(1)
+    if top < 0 and bottom < 0:
+        # roundoff left a near-null direction of the tail, shared by the
+        # whole block, below zero; the ratio is still the exact Schur
+        # complement of the tail, and it is positive
+        top, bottom = -top, -bottom
+    return DeterminantRatio(_log_of_fraction(top), _log_of_fraction(bottom))
+
+
+def determinant_ratios(blocks: Sequence[np.ndarray], tails: Sequence[int]) -> list[DeterminantRatio]:
+    """det B / det B[-k:, -k:] for each block B with its tail size k.
+
+    Blocks of one size and tail form one (t, m, m) stack for batched
+    `eigvalsh` and `slogdet`; they are never padded, because padding would
+    change the spectrum test.  A block of at most EXACT_SIZE_LIMIT rows
+    whose spectrum is not positive or has reciprocal condition below
+    RCOND_EXACT gets both determinants in exact rational arithmetic (their
+    magnitudes when both are negative, whose ratio is still the Schur
+    complement of the tail); the others keep the float64 `psd_logdet` conventions.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (block, k) in enumerate(zip(blocks, tails)):
+        groups.setdefault((block.shape[0], int(k)), []).append(i)
+    out: list[DeterminantRatio | None] = [None] * len(blocks)
+    for (m, k), idx in groups.items():
+        stack = np.array([blocks[i] for i in idx], dtype=float).reshape(len(idx), m, m)
+        exact = [False] * len(idx)
+        if 0 < m <= EXACT_SIZE_LIMIT:
+            spectrum = np.linalg.eigvalsh(stack)
+            low, top = spectrum[:, 0], spectrum[:, -1]
+            exact = ((top <= 0) | (low < RCOND_EXACT * top)).tolist()
+        nums = _stack_logdets(stack)
+        dens = _stack_logdets(stack[:, m - k:, m - k:]) if k else [0.0] * len(idx)
+        for i, flag, num, den in zip(idx, exact, nums, dens):
+            out[i] = _exact_ratio(blocks[i], k) if flag else DeterminantRatio(num, den)
+    return out
 
 
 def compound_intensity(
@@ -205,7 +232,7 @@ def compound_intensity(
     _check_in_window(merged, window, "added + given")
     pts = np.concatenate([added.coords, given.coords], axis=0)
     values = interaction_values(disc, pts)
-    return _stacked_ratio(values, len(given))
+    return determinant_ratios([values], [len(given)])[0]
 
 
 def chain_rule_product(
@@ -248,7 +275,7 @@ def candidate_intensity(
     _check_simple(merged, "added + given")
     pts = np.concatenate([added.coords, chopped.coords], axis=0)
     values = spec.j_values(pts, pts)
-    return _stacked_ratio(values, len(chopped))
+    return determinant_ratios([values], [len(chopped)])[0]
 
 
 def candidate_sequence(
@@ -284,7 +311,7 @@ def cluster_intensity(
     hull = percolation.hull_of(added, given, spec.declared_range)
     pts = np.concatenate([added.coords, hull.coords], axis=0)
     values = spec.j_values(pts, pts)
-    return _stacked_ratio(values, len(hull))
+    return determinant_ratios([values], [len(hull)])[0]
 
 
 class ConditionalKernel:

@@ -21,7 +21,7 @@ from . import matrixineq, percolation, renewal
 from .densities import (
     candidate_intensity,
     cluster_intensity,
-    compound_intensity,
+    determinant_ratios,
     janossy_normalization,
     psd_logdet,
 )
@@ -349,10 +349,17 @@ def _run_matrix_suite(kernel_cfg, p: Params, seed, threads, out_dir):
 
 def _cpi_family_run(spec: Kernel, window: Window, n: int, instances: int, seed: int,
                     salt: int, max_points: int, threads: int):
-    disc = discretize(spec, "K", window, n)
-    interaction_values(disc, np.atleast_2d(np.asarray(window.lower)))  # warm caches
+    """Monotonicity and diagonal-bound margins of one family, one entry per instance.
 
-    def one(i: int):
+    An instance is a point a, a configuration eta of m points and xi, a
+    random subset of eta.  Every instance's (a, eta) block comes from one
+    `interaction_values` stack over all instances, and c(a | eta),
+    c(a | xi) and J(a, a) are read from principal sub-blocks of that one
+    matrix, so both ratios share its roundoff.
+    """
+    disc = discretize(spec, "K", window, n)
+
+    def draw(i: int):
         rng = stream(_subseed(seed, salt), i)
         while True:
             m = int(rng.integers(2, max_points + 1))
@@ -364,23 +371,37 @@ def _cpi_family_run(spec: Kernel, window: Window, n: int, instances: int, seed: 
             np.fill_diagonal(dist, np.inf)
             if dist.min() > 1e-7:
                 break
-        added = Configuration.from_coords(pts[:1], dimension=window.dimension)
-        eta = Configuration.from_coords(pts[1:], dimension=window.dimension)
         keep = rng.random(m) < 0.5
-        xi = Configuration.from_coords(pts[1:][keep], dimension=window.dimension)
-        c_eta = compound_intensity(spec, window, n, added, eta, disc=disc).value
-        c_xi = compound_intensity(spec, window, n, added, xi, disc=disc).value
-        diag = float(interaction_values(disc, pts[:1])[0, 0])
-        mono = (c_xi - c_eta) / max(1.0, c_xi)
-        bound = (diag - c_xi) / max(1.0, diag)
-        return mono, bound
+        return pts, np.concatenate([[0], 1 + np.flatnonzero(keep)])
 
-    results = []
-    for lo, hi in _split_ranges(instances, threads * 8):
-        results.append((lo, hi))
-    chunks = _parallel(results, lambda r: [one(i) for i in range(r[0], r[1])], threads)
-    margins = np.array([pair for chunk in chunks for pair in chunk])
-    return margins[:, 0], margins[:, 1]
+    chunks = _parallel(
+        _split_ranges(instances, threads * 8), lambda r: [draw(i) for i in range(*r)], threads
+    )
+    drawn = [item for chunk in chunks for item in chunk]
+    offsets = np.cumsum([0] + [len(pts) for pts, _ in drawn])
+    full = interaction_values(disc, np.concatenate([pts for pts, _ in drawn]), blocks=offsets)
+    blocks, tails = [], []
+    for (pts, sub), J in zip(drawn, full):
+        blocks += [J, J[np.ix_(sub, sub)]]
+        tails += [len(pts) - 1, sub.size - 1]
+    ratios = determinant_ratios(blocks, tails)
+    c_eta = np.array([r.value for r in ratios[0::2]])
+    c_xi = np.array([r.value for r in ratios[1::2]])
+    diag = np.array([J[0, 0] for J in full])
+    mono = (c_xi - c_eta) / np.maximum(1.0, c_xi)
+    bound = (diag - c_xi) / np.maximum(1.0, diag)
+    return mono, bound
+
+
+def _zero_violations(name: str, margins: np.ndarray, tol: float) -> Check:
+    """Check that no margin falls below -tol."""
+    bad = int(np.sum(margins < -tol))
+    return Check(
+        name=name,
+        passed=bad == 0,
+        observed=f"{bad} violations in {margins.size} (worst {margins.min():.3e})",
+        requirement=f"0 violations at tolerance {tol:g}",
+    )
 
 
 @_register(
@@ -417,25 +438,16 @@ def _run_cpi_monotonicity(kernel_cfg, p: Params, seed, threads, out_dir):
         mono, bound = _cpi_family_run(
             spec, window, n, instances, seed, salt, max_points, threads
         )
-        mono_bad = int(np.sum(mono < -tol))
-        bound_bad = int(np.sum(bound < -tol))
-        checks.append(
-            Check(
-                name=f"{label}: monotone under conditioning",
-                passed=mono_bad == 0,
-                observed=f"{mono_bad} violations in {instances} (worst {mono.min():.3e})",
-                requirement=f"0 violations at tolerance {tol:g}",
-            )
-        )
-        checks.append(
-            Check(
-                name=f"{label}: diagonal bound",
-                passed=bound_bad == 0,
-                observed=f"{bound_bad} violations in {instances} (worst {bound.min():.3e})",
-                requirement=f"0 violations at tolerance {tol:g}",
-            )
-        )
-        rows.append([label, instances, mono_bad, float(mono.min()), bound_bad, float(bound.min())])
+        checks.append(_zero_violations(f"{label}: monotone under conditioning", mono, tol))
+        checks.append(_zero_violations(f"{label}: diagonal bound", bound, tol))
+        rows.append([
+            label,
+            instances,
+            int(np.sum(mono < -tol)),
+            float(mono.min()),
+            int(np.sum(bound < -tol)),
+            float(bound.min()),
+        ])
         qx, qy = _downsample(mono)
         series.append(Series(x=list(qx), y=list(qy), label=f"{label} monotonicity", markers=False))
         qx, qy = _downsample(bound)
@@ -909,13 +921,11 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
     discs = []
     for w in windows:
         n = max(24, int(math.ceil(nodes_per_unit * w.sides[0])))
-        d = discretize(spec, "K", w, n, panels=max(2, int(w.sides[0])))
-        interaction_values(d, np.atleast_2d(np.asarray(w.lower)))  # warm caches
-        discs.append((w, n, d))
+        discs.append((w, discretize(spec, "K", w, n, panels=max(2, int(w.sides[0])))))
     domain = Window.interval(0.0, domain_len)
     lo_a, hi_a = center - domain_len / 10.0, center + domain_len / 10.0
 
-    def one(i: int):
+    def draw(i: int):
         xi = renewal.sample_stationary_renewal(
             forms, domain, 1, _subseed(seed, 100 + i)
         ).configurations[0]
@@ -924,29 +934,36 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
             a_pt = lo_a + (hi_a - lo_a) * rng.random()
             if len(xi) == 0 or np.abs(xi.coords[:, 0] - a_pt).min() > 1e-6:
                 break
-        added = Configuration([(a_pt,)])
-        closed = renewal.global_compound_intensity(forms, a_pt, xi.coords[:, 0])
-        local = []
-        for w, n, d in discs:
-            local.append(
-                compound_intensity(spec, w, n, added, restrict(xi, w), disc=d).value
-            )
-        cand = np.array(
-            [candidate_intensity(spec, added, xi, w).value for w, _, _ in discs]
-        )
-        mono_worst = float(np.min(np.diff(-cand) / np.maximum(1.0, cand[:-1]))) if len(cand) > 1 else 0.0
-        route_err = abs(cand[-1] - closed) / max(1.0, abs(closed))
-        return abs(local[-1] - closed), mono_worst, route_err, closed, local
+        return a_pt, xi
 
-    jobs = _split_ranges(instances, threads * 4)
-    chunks = _parallel(jobs, lambda r: [one(i) for i in range(r[0], r[1])], threads)
-    flat = [item for chunk in chunks for item in chunk]
-    errs = np.array([f[0] for f in flat])
-    monos = np.array([f[1] for f in flat])
-    routes = np.array([f[2] for f in flat])
-    per_window_err = np.array(
-        [[abs(f[4][k] - f[3]) for k in range(len(windows))] for f in flat]
+    chunks = _parallel(
+        _split_ranges(instances, threads * 4), lambda r: [draw(i) for i in range(*r)], threads
     )
+    drawn = [item for chunk in chunks for item in chunk]
+
+    def window_intensities(k: int) -> list[float]:
+        # c_window(a | xi in window) of every instance, from one stack per window
+        w, d = discs[k]
+        pts = [np.concatenate([[[a_pt]], restrict(xi, w).coords]) for a_pt, xi in drawn]
+        offsets = np.cumsum([0] + [len(p) for p in pts])
+        blocks = interaction_values(d, np.concatenate(pts), blocks=offsets)
+        return [r.value for r in determinant_ratios(blocks, [len(p) - 1 for p in pts])]
+
+    local = np.array(_parallel(range(len(discs)), window_intensities, threads)).T
+    closed = np.array(
+        [renewal.global_compound_intensity(forms, a_pt, xi.coords[:, 0]) for a_pt, xi in drawn]
+    )
+    monos, routes = [], []
+    for (a_pt, xi), value in zip(drawn, closed):
+        added = Configuration([(a_pt,)])
+        cand = np.array([candidate_intensity(spec, added, xi, w).value for w, _ in discs])
+        monos.append(
+            float(np.min(np.diff(-cand) / np.maximum(1.0, cand[:-1]))) if len(cand) > 1 else 0.0
+        )
+        routes.append(abs(cand[-1] - value) / max(1.0, abs(value)))
+    monos, routes = np.array(monos), np.array(routes)
+    per_window_err = np.abs(local - closed[:, None])
+    errs = per_window_err[:, -1]
 
     checks = [
         Check(
@@ -970,11 +987,11 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
     ]
     rows = [
         [w.sides[0], float(per_window_err[:, k].mean()), float(per_window_err[:, k].max())]
-        for k, (w, _, _) in enumerate(discs)
+        for k, (w, _) in enumerate(discs)
     ]
     series = [
         Series(
-            x=[w.sides[0] for w, _, _ in discs],
+            x=[w.sides[0] for w, _ in discs],
             y=[max(float(per_window_err[:, k].mean()), 1e-18) for k in range(len(discs))],
             label="mean |local - closed|",
         )

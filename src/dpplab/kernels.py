@@ -30,6 +30,9 @@ from .quadrature import Quadrature, tensor_gauss_legendre
 
 # eigenvalue dust below this fraction of the largest eigenvalue is dropped
 SPECTRAL_FLOOR = 1e-12
+# derived-K values against a fixed point set are computed for at most this
+# many points at a time
+FEATURE_ROWS = 2048
 
 
 def _coerce(X) -> np.ndarray:
@@ -47,8 +50,17 @@ class Kernel:
     has_closed_form_J: bool
     label: str
 
-    def k_values(self, X, Y) -> np.ndarray:
-        """Matrix of correlation-kernel values K(x_i, y_j)."""
+    def k_values(self, X, Y, memo: dict | None = None) -> np.ndarray:
+        """Matrix of correlation-kernel values K(x_i, y_j).
+
+        `memo` is an optional dict that a caller keeps for one fixed point
+        set X (such as a rule's nodes) and passes with every call on that X;
+        derived-K families keep the features of X there.
+        """
+        raise NotImplementedError
+
+    def k_diagonal(self, X) -> np.ndarray:
+        """K(x, x) for each row of X."""
         raise NotImplementedError
 
     def j_values(self, X, Y) -> np.ndarray:
@@ -152,12 +164,17 @@ class RenewalExponential(Kernel):
         self.has_closed_form_J = True
         self.label = f"renewal(rho={self.rho}, a={self.a})"
 
-    def k_values(self, X, Y) -> np.ndarray:
+    def k_values(self, X, Y, memo: dict | None = None) -> np.ndarray:
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
         dist = np.abs(X[:, None, 0] - Y[None, :, 0])
         return self.rho * np.exp(-self.a * dist)
+
+    def k_diagonal(self, X) -> np.ndarray:
+        X = _coerce(X)
+        self._check_dim(X)
+        return np.full(X.shape[0], self.rho)
 
     def j_values(self, X, Y) -> np.ndarray:
         X, Y = _coerce(X), _coerce(Y)
@@ -222,12 +239,28 @@ class _DerivedCorrelation:
         S = self.kernel.j_values(X, self.quad.nodes) * self.quad.sqrt_weights[None, :]
         return S @ self.U
 
-    def k_values(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def scaled_features(self, X: np.ndarray) -> np.ndarray:
+        """Rows a_x diag(c), so that K(x, y) = (a_x diag(c)) . a_y."""
+        return self._feature(X) * self.coeff[None, :]
+
+    def k_values(self, X: np.ndarray, Y: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
+        """K(X, Y); `left` may carry `scaled_features(X)` from this context."""
         if self.nu.size == 0:
             return np.zeros((X.shape[0], Y.shape[0]))
+        if left is not None:
+            # a fixed number of points at a time, so that long stacks never
+            # hold all their (points x context nodes) tables at once
+            out = np.empty((left.shape[0], Y.shape[0]))
+            for lo in range(0, Y.shape[0], FEATURE_ROWS):
+                out[:, lo:lo + FEATURE_ROWS] = left @ self._feature(Y[lo:lo + FEATURE_ROWS]).T
+            return out
         AX = self._feature(X)
         AY = AX if Y is X else self._feature(Y)
         return (AX * self.coeff[None, :]) @ AY.T
+
+    def k_diagonal(self, X: np.ndarray) -> np.ndarray:
+        A = self._feature(X)
+        return (A * A) @ self.coeff
 
 
 class _JPrimitiveKernel(Kernel):
@@ -259,12 +292,24 @@ class _JPrimitiveKernel(Kernel):
         n = max(n, 8)
         self._context = _DerivedCorrelation(self, window, n)
 
-    def k_values(self, X, Y) -> np.ndarray:
+    def k_values(self, X, Y, memo: dict | None = None) -> np.ndarray:
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
         ctx = self._context_for(X, Y)
-        return ctx.k_values(X, Y)
+        if memo is None:
+            return ctx.k_values(X, Y)
+        # features of the fixed X, valid until the context is rebuilt
+        held = memo.get("features")
+        if held is None or held[0] is not ctx:
+            held = (ctx, ctx.scaled_features(X))
+            memo["features"] = held
+        return ctx.k_values(X, Y, left=held[1])
+
+    def k_diagonal(self, X) -> np.ndarray:
+        X = _coerce(X)
+        self._check_dim(X)
+        return self._context_for(X, X).k_diagonal(X)
 
     def norm_bound(self) -> float:
         mass = self.interaction_mass()

@@ -11,10 +11,18 @@ the resolvent identity
     J(x, y) = K(x, y) + s_x . (I - M)^{-1} s_y,
     s_x[i] = sqrt(w_i) K(z_i, x),
 
-equivalent to appending x and y as zero-weight quadrature nodes.  Both
-summands are positive-semidefinite kernels, so every configuration
-matrix assembled this way is PSD and the determinant inequalities under
-test are exact matrix facts, independent of discretization error.
+equivalent to appending x and y as zero-weight quadrature nodes.  It is
+evaluated in half-solve form: with the cached lower Cholesky factor
+L L^T = I - M and t_x = L^{-1} s_x, the second summand is t_x . t_y, so a
+query costs one triangular solve for each point set.  Both summands are
+positive-semidefinite kernels, so every configuration matrix assembled
+this way is PSD and the determinant inequalities under test are exact
+matrix facts, independent of discretization error.
+
+The spectrum gate (top eigenvalue below `SPECTRUM_GATE`) and the
+determinant formulas read eigenvalues only (`eigvalsh`); eigenvectors
+are computed only for the samplers and the spectral map of
+`local_interaction`.
 """
 from __future__ import annotations
 
@@ -87,9 +95,19 @@ class DiscretizedOperator:
             self._cache["spectral"] = SpectralData(vals[order], vecs[:, order])
         return self._cache["spectral"]
 
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues (descending) from `eigvalsh`, whether or not `spectral` ran.
+
+        Gates and determinants read only these, so their values do not
+        depend on call order.
+        """
+        if "eigenvalues" not in self._cache:
+            self._cache["eigenvalues"] = np.linalg.eigvalsh(self.matrix)[::-1]
+        return self._cache["eigenvalues"]
+
     def clipped_eigenvalues(self) -> np.ndarray:
         """Spectrum with roundoff dust clipped to zero (descending)."""
-        vals = self.spectral().eigenvalues.copy()
+        vals = self.eigenvalues().copy()
         if vals.size == 0:
             return vals
         top = max(vals.max(), 0.0)
@@ -166,12 +184,12 @@ def local_interaction(op: DiscretizedOperator) -> DiscretizedOperator:
     Same eigenvectors, eigenvalues mapped lambda -> lambda / (1 - lambda).
     """
     vals = _gate(op)
-    spect = op.spectral()
     mapped = vals / (1.0 - vals)
-    U = spect.eigenvectors
+    U = op.spectral().eigenvectors
     matrix = (U * mapped[None, :]) @ U.T
     out = DiscretizedOperator(op.quad, matrix, op.spec, "J_local")
     out._cache["spectral"] = SpectralData(mapped, U)
+    out._cache["eigenvalues"] = mapped
     return out
 
 
@@ -228,45 +246,65 @@ def projection_inversion_gap(T, mask) -> float:
 # off-node interaction values (resolvent extension)
 
 
-def _resolvent_factor(op: DiscretizedOperator):
-    """Cached Cholesky factor of I - M for a correlation operator."""
+def _resolvent_factor(op: DiscretizedOperator) -> np.ndarray:
+    """Lower Cholesky factor L of I - M (L L^T = I - M) for a correlation operator.
+
+    Built once per operator, after the spectrum gate, and checked for
+    finite entries then; queries solve against it without further checks.
+    In half-solve form J(x, y) = K(x, y) + t_x . t_y with t_x = L^{-1} s_x.
+    """
     if op.kind != "K":
         raise DomainError("resolvent extension needs a correlation operator")
-    if "cho" not in op._cache:
+    if "chol" not in op._cache:
         _gate(op)  # enforces the spectrum-below-one hypothesis
-        eye = np.eye(op.size)
-        op._cache["cho"] = scipy.linalg.cho_factor(eye - op.matrix, lower=True)
-    return op._cache["cho"]
+        factor = scipy.linalg.cholesky(np.eye(op.size) - op.matrix, lower=True, check_finite=False)
+        if not np.all(np.isfinite(factor)):
+            raise NumericalBreakdown(f"{op.kind} resolvent factor has non-finite entries")
+        op._cache["chol"] = factor
+    return op._cache["chol"]
 
 
-def _weighted_columns(op: DiscretizedOperator, X: np.ndarray) -> np.ndarray:
-    # s_x[i] = sqrt(w_i) K(z_i, x); columns indexed by the points
-    vals = op.spec.k_values(op.quad.nodes, X)
-    return vals * op.quad.sqrt_weights[:, None]
+def _half_solve(op: DiscretizedOperator, X: np.ndarray) -> np.ndarray:
+    """T = L^{-1} S_X with S_X[i, p] = sqrt(w_i) K(z_i, x_p): one column per point."""
+    factor = _resolvent_factor(op)
+    # the node features of derived-K families are kept per operator in this memo
+    memo = op._cache.setdefault("node_features", {})
+    S = op.spec.k_values(op.quad.nodes, X, memo=memo) * op.quad.sqrt_weights[:, None]
+    return scipy.linalg.solve_triangular(factor, S, lower=True, check_finite=False)
 
 
-def interaction_values(op: DiscretizedOperator, X, Y=None) -> np.ndarray:
-    """J_[Lambda](x_i, y_j) for arbitrary points, via the resolvent identity."""
+def interaction_values(op: DiscretizedOperator, X, Y=None, *, blocks=None):
+    """J_[Lambda](x_i, y_j) for arbitrary points, via the resolvent identity.
+
+    With `blocks`, ascending row offsets 0 = o_0 <= ... <= o_t = len(X) as
+    in `SampleBatch.offsets`, the result is instead the list of diagonal
+    blocks J(X_b, X_b), X_b = X[o_b:o_{b+1}]: one triangular solve covers
+    every row and no entry between two blocks is formed.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    SX = _weighted_columns(op, X)
-    cho = _resolvent_factor(op)
+    TX = _half_solve(op, X)
+    if blocks is not None:
+        if Y is not None:
+            raise DomainError("blocks take one point set")
+        out = []
+        for lo, hi in zip(blocks[:-1], blocks[1:]):
+            Xb, Tb = X[lo:hi], TX[:, lo:hi]
+            vals = op.spec.k_values(Xb, Xb) + Tb.T @ Tb
+            out.append(0.5 * (vals + vals.T))
+        return out
     if Y is None or Y is X:
-        solved = scipy.linalg.cho_solve(cho, SX)
-        out = op.spec.k_values(X, X) + SX.T @ solved
+        out = op.spec.k_values(X, X) + TX.T @ TX
         return 0.5 * (out + out.T)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    SY = _weighted_columns(op, Y)
-    return op.spec.k_values(X, Y) + SX.T @ scipy.linalg.cho_solve(cho, SY)
+    TY = _half_solve(op, Y)
+    return op.spec.k_values(X, Y) + TX.T @ TY
 
 
 def interaction_diagonal(op: DiscretizedOperator, X) -> np.ndarray:
     """J_[Lambda](x, x) for each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    SX = _weighted_columns(op, X)
-    cho = _resolvent_factor(op)
-    solved = scipy.linalg.cho_solve(cho, SX)
-    kxx = np.array([float(op.spec.k_values(row[None, :], row[None, :])[0, 0]) for row in X])
-    return kxx + np.einsum("ip,ip->p", SX, solved)
+    T = _half_solve(op, X)
+    return op.spec.k_diagonal(X) + np.einsum("ip,ip->p", T, T)
 
 
 def interaction_diagonal_bound(op: DiscretizedOperator) -> float:

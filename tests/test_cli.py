@@ -27,10 +27,15 @@ class TestRun:
         stdout = capsys.readouterr().out
         assert "matrix-ineq-suite" in stdout and "PASS" in stdout
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name, instances",
+        [("cpi-monotonicity", 40), ("cpi-limit", 12)],
+        ids=["cpi-monotonicity", "cpi-limit"],
+    )
+    def test_reruns_are_byte_identical(self, tmp_path, name, instances):
         cfg = write(
             tmp_path,
-            "[experiment]\nname = cpi-monotonicity\nseed = 3\n\n[params]\ninstances = 40\n",
+            f"[experiment]\nname = {name}\nseed = 3\n\n[params]\ninstances = {instances}\n",
         )
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", cfg, "--out", str(out_a)]) == 0

@@ -1,8 +1,11 @@
 """Correlation functions, Janossy densities, and conditional intensities."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpplab.densities import (
     ConditionalKernel,
@@ -14,12 +17,15 @@ from dpplab.densities import (
     compound_intensity,
     conditional_kernel,
     correlation,
+    determinant_ratios,
     janossy_density,
     janossy_normalization,
     psd_logdet,
     vacuum_probability,
 )
+from dpplab.densities import LOG_UNDERFLOW, RCOND_EXACT, _det_fraction, _log_of_fraction
 from dpplab.errors import DomainError, NoFiniteRange, ZeroDenominator
+from dpplab.experiments import _cpi_family_run
 from dpplab.geometry import Configuration, Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
 from dpplab.operators import discretize, fredholm_det_I_minus, interaction_values
@@ -43,6 +49,55 @@ class TestDeterminantRatio:
         assert psd_logdet(np.array([[1.0, 2.0], [2.0, 1.0]])) == float("-inf")
         assert psd_logdet(np.empty((0, 0))) == 0.0
         assert psd_logdet(np.eye(3) * 2.0) == pytest.approx(3 * math.log(2.0))
+
+
+def _one_ratio(block, k):
+    # one block at a time: float64 logdets, or exact determinants when the
+    # spectrum is not well conditioned
+    spectrum = np.linalg.eigvalsh(block)
+    if spectrum[-1] <= 0 or spectrum[0] < RCOND_EXACT * spectrum[-1]:
+        top = _det_fraction(block)
+        bottom = _det_fraction(block[-k:, -k:]) if k else Fraction(1)
+        if top < 0 and bottom < 0:
+            top, bottom = -top, -bottom
+        return _log_of_fraction(top), _log_of_fraction(bottom)
+    return _one_logdet(block), _one_logdet(block[-k:, -k:]) if k else 0.0
+
+
+def _one_logdet(matrix):
+    sign, value = np.linalg.slogdet(matrix)
+    return float(value) if sign > 0 and value > LOG_UNDERFLOW else -math.inf
+
+
+@st.composite
+def _blocks_with_tails(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, tails = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        m = draw(st.integers(1, 9))
+        rank = draw(st.integers(1, m + 2))  # rank < m gives singular blocks
+        G = rng.normal(size=(m, rank))
+        if draw(st.booleans()) and m > 1:
+            G[1] = G[0] + 1e-7 * rng.normal(size=rank)  # a near-coincident pair
+        blocks.append(G @ G.T)
+        tails.append(draw(st.integers(0, m)))
+    return blocks, tails
+
+
+class TestDeterminantRatios:
+    @settings(max_examples=80, deadline=None)
+    @given(_blocks_with_tails())
+    def test_stacks_match_one_block_at_a_time(self, case):
+        blocks, tails = case
+        got = determinant_ratios(blocks, tails)
+        for block, k, ratio in zip(blocks, tails, got):
+            num, den = _one_ratio(block, k)
+            assert ratio.numerator_logdet == num
+            assert ratio.denominator_logdet == den
+
+    def test_empty_block_is_one(self):
+        (r,) = determinant_ratios([np.zeros((0, 0))], [0])
+        assert r.value == 1.0
 
 
 class TestCorrelation:
@@ -187,6 +242,20 @@ class TestCompoundIntensity:
         assert c_eta == pytest.approx(0.725700980909, rel=1e-9)
         assert c_xi >= c_eta - 1e-12
         assert c_eta <= diag + 1e-12
+
+    @pytest.mark.parametrize("seed", [309006, 35002])
+    def test_finite_range_family_monotone_at_logged_seeds(self, seed):
+        # these runs of cpi-monotonicity once failed at one BLAS thread (margins
+        # -0.61 and -0.14): c(a | xi) and c(a | eta) came from two resolvent
+        # calls whose roundoff differed on a numerically singular block
+        spec = FiniteRangeFourier(1.0, 0.8, dimension=1)
+        # the finite-range family of docs/examples/cpi-monotonicity.ini
+        mono, bound = _cpi_family_run(
+            spec, Window.interval(0.0, 6.0), n=100, instances=150, seed=seed, salt=2,
+            max_points=8, threads=1,
+        )
+        assert mono.min() >= -1e-9
+        assert bound.min() >= -1e-9
 
     def test_exact_determinant_matches_lapack_when_well_conditioned(self):
         from dpplab.densities import _det_fraction, _log_of_fraction

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dpplab.errors import DomainError, QuadratureMismatch, SingularOperator, SpectrumAtOne
 from dpplab.geometry import Window
@@ -180,6 +181,80 @@ class TestInteractionExtension:
         vb = fredholm_det_I_minus(discretize_on(SPEC, "K", qb))
         assert vac <= va * vb + 1e-12
         assert vac == pytest.approx(va * vb, rel=0.05)
+
+
+def _reference_interaction(disc, X, Y):
+    # K(X, Y) + S_X^T (I - M)^{-1} S_Y through a full Cholesky solve
+    sw = disc.quad.sqrt_weights[:, None]
+    SX = disc.spec.k_values(disc.quad.nodes, X) * sw
+    SY = disc.spec.k_values(disc.quad.nodes, Y) * sw
+    cho = scipy.linalg.cho_factor(np.eye(disc.size) - disc.matrix, lower=True)
+    return disc.spec.k_values(X, Y) + SX.T @ scipy.linalg.cho_solve(cho, SY)
+
+
+def _assert_close(got, want):
+    # rtol 1e-12 relative to the largest entry: off-diagonal entries far apart
+    # are small differences of O(1) terms
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+REFERENCE_CASES = [
+    (SPEC, Window.interval(0.0, 6.0), 90),
+    (FiniteRangeFourier(1.0, 0.8, dimension=1), Window.interval(0.0, 6.0), 100),
+    (
+        # a coarse derived-K context keeps the case fast; the algebra is the same
+        FiniteRangeFourier(0.6, 0.7, dimension=2, context_pad_ranges=2.0, context_nodes_per_range=4.0),
+        Window.box((0.0, 0.0), (1.0, 1.0)),
+        10,
+    ),
+]
+
+
+class TestHalfSolveForm:
+    @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES)
+    def test_matches_full_solve_reference(self, spec, window, n):
+        disc = discretize(spec, "K", window, n)
+        # inside the nodes' bounding box, so no derived-K context is rebuilt
+        lo, hi = disc.quad.nodes.min(axis=0), disc.quad.nodes.max(axis=0)
+        rng = np.random.default_rng(5)
+        X = lo + (hi - lo) * rng.random((7, window.dimension))
+        Y = lo + (hi - lo) * rng.random((4, window.dimension))
+        _assert_close(interaction_values(disc, X), _reference_interaction(disc, X, X))
+        _assert_close(interaction_values(disc, X, Y), _reference_interaction(disc, X, Y))
+        _assert_close(interaction_diagonal(disc, X), np.diag(_reference_interaction(disc, X, X)))
+
+    @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES[:2])
+    def test_blocks_are_the_diagonal_blocks(self, spec, window, n):
+        disc = discretize(spec, "K", window, n)
+        X = window.lower[0] + window.sides[0] * np.random.default_rng(6).random((9, 1))
+        offsets = [0, 2, 2, 7, 9]
+        blocks = interaction_values(disc, X, blocks=offsets)
+        full = interaction_values(disc, X)
+        assert [b.shape for b in blocks] == [(2, 2), (0, 0), (5, 5), (2, 2)]
+        for lo, hi, block in zip(offsets[:-1], offsets[1:], blocks):
+            _assert_close(block, full[lo:hi, lo:hi])
+
+    def test_node_features_follow_a_context_rebuild(self):
+        spec = FiniteRangeFourier(1.0, 0.8, dimension=1)
+        disc = discretize(spec, "K", Window.interval(0.0, 6.0), 100)
+        X = np.array([[1.0], [3.0]])
+        interaction_values(disc, X)  # fills the node-feature memo
+        spec.k_values(np.array([[-30.0]]), np.array([[-30.0]]))  # forces a wider context
+        assert np.array_equal(interaction_values(disc, X), _fresh_interaction(disc, X))
+
+    def test_fredholm_bits_ignore_call_order(self):
+        w = Window.interval(0.0, 6.0)
+        first = discretize(SPEC, "K", w, 100)
+        first.spectral()
+        second = discretize(SPEC, "K", w, 100)
+        assert fredholm_det_I_minus(first) == fredholm_det_I_minus(second)
+        assert np.array_equal(first.clipped_eigenvalues(), second.clipped_eigenvalues())
+
+
+def _fresh_interaction(disc, X):
+    # the same operator matrix with an empty cache: node features under the current context
+    fresh = DiscretizedOperator(disc.quad, disc.matrix, disc.spec, disc.kind)
+    return interaction_values(fresh, X)
 
 
 class TestProjectionInversion:
