@@ -22,13 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DomainError,
     DuplicatePoint,
     NoFiniteRange,
     NumericalBreakdown,
     ZeroDenominator,
 )
-from .geometry import Configuration, Window, restrict, union
+from .geometry import Configuration, SampleBatch, Window, restrict, union
 from .kernels import Kernel
 from .operators import (
     DiscretizedOperator,
@@ -65,7 +66,7 @@ class DeterminantRatio:
 
     @property
     def value(self) -> float:
-        if -math.inf in (self.denominator_logdet, self.numerator_logdet):
+        if np.isneginf(self.denominator_logdet) or np.isneginf(self.numerator_logdet):
             return 0.0
         return float(np.exp(self.numerator_logdet - self.denominator_logdet))
 
@@ -213,20 +214,46 @@ def determinant_ratios(blocks: Sequence[np.ndarray], tails: Sequence[int]) -> li
     return out
 
 
+def _compound_intensities(
+    disc: DiscretizedOperator, window: Window, added: SampleBatch, given: SampleBatch
+) -> list[DeterminantRatio]:
+    if len(added) != len(given):
+        raise DomainError("added and given batches have different numbers of samples")
+    if added.window.dimension != given.window.dimension:
+        raise DimensionMismatch("batches of different dimension")
+    # each sample's added points, then its given points: one block per sample
+    ids = np.concatenate([added.sample_ids(), given.sample_ids()])
+    order = np.argsort(ids, kind="stable")
+    pts = np.concatenate([added.coords, given.coords])[order]
+    offsets = added.offsets + given.offsets
+    merged = SampleBatch(window, pts, offsets, seed=given.seed, method=given.method)
+    if len(percolation.close_pairs(merged, COINCIDENCE)):
+        raise DuplicatePoint(f"added + given has points closer than {COINCIDENCE}")
+    if len(pts) and not np.all(window.contains(pts)):
+        raise DomainError("added + given has points outside the window")
+    blocks = interaction_values(disc, pts, blocks=offsets)
+    return determinant_ratios(blocks, given.counts())
+
+
 def compound_intensity(
     spec: Kernel,
     window: Window,
     n: int,
-    added: Configuration,
-    given: Configuration,
+    added: Configuration | SampleBatch,
+    given: Configuration | SampleBatch,
     *,
     disc: DiscretizedOperator | None = None,
-) -> DeterminantRatio:
+) -> DeterminantRatio | list[DeterminantRatio]:
     """Local compound Papangelou intensity
 
     det J_[Lambda](added + given) / det J_[Lambda](given).
+
+    For two batches with the same number of samples the result is the list
+    of per-sample intensities, all from one `interaction_values` stack.
     """
     disc = disc or discretize(spec, "K", window, n)
+    if isinstance(added, SampleBatch):
+        return _compound_intensities(disc, window, added, given)
     merged = union(added, given)  # raises DuplicatePoint on overlap
     _check_simple(merged, "added + given")
     _check_in_window(merged, window, "added + given")

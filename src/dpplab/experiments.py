@@ -21,12 +21,13 @@ from . import matrixineq, percolation, renewal
 from .densities import (
     candidate_intensity,
     cluster_intensity,
+    compound_intensity,
     determinant_ratios,
     janossy_normalization,
     psd_logdet,
 )
 from .errors import ConfigError, DimensionMismatch, ParameterOutOfRange
-from .geometry import Configuration, Window, count_in, restrict
+from .geometry import Configuration, Window, count_in
 from .kernels import FiniteRangeFourier, Kernel, RenewalExponential
 from .operators import (
     discretize,
@@ -921,11 +922,11 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
     discs = []
     for w in windows:
         n = max(24, int(math.ceil(nodes_per_unit * w.sides[0])))
-        discs.append((w, discretize(spec, "K", w, n, panels=max(2, int(w.sides[0])))))
+        discs.append((w, n, discretize(spec, "K", w, n, panels=max(2, int(w.sides[0])))))
     domain = Window.interval(0.0, domain_len)
     lo_a, hi_a = center - domain_len / 10.0, center + domain_len / 10.0
 
-    def draw(i: int):
+    def one(i: int):
         xi = renewal.sample_stationary_renewal(
             forms, domain, 1, _subseed(seed, 100 + i)
         ).configurations[0]
@@ -934,34 +935,31 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
             a_pt = lo_a + (hi_a - lo_a) * rng.random()
             if len(xi) == 0 or np.abs(xi.coords[:, 0] - a_pt).min() > 1e-6:
                 break
-        return a_pt, xi
+        added = Configuration([(a_pt,)])
+        closed = renewal.global_compound_intensity(forms, a_pt, xi.coords[:, 0])
+        cand = np.array(
+            [candidate_intensity(spec, added, xi, w).value for w, _, _ in discs]
+        )
+        mono_worst = float(np.min(np.diff(-cand) / np.maximum(1.0, cand[:-1]))) if len(cand) > 1 else 0.0
+        route_err = abs(cand[-1] - closed) / max(1.0, abs(closed))
+        return added.coords, xi.coords, closed, mono_worst, route_err
 
-    chunks = _parallel(
-        _split_ranges(instances, threads * 4), lambda r: [draw(i) for i in range(*r)], threads
-    )
-    drawn = [item for chunk in chunks for item in chunk]
+    jobs = _split_ranges(instances, threads * 4)
+    chunks = _parallel(jobs, lambda r: [one(i) for i in range(r[0], r[1])], threads)
+    flat = [item for chunk in chunks for item in chunk]
+    added = SampleBatch.from_samples(domain, [f[0] for f in flat], seed=seed, method="uniform")
+    closed = np.array([f[2] for f in flat])
+    monos = np.array([f[3] for f in flat])
+    routes = np.array([f[4] for f in flat])
 
     def window_intensities(k: int) -> list[float]:
         # c_window(a | xi in window) of every instance, from one stack per window
-        w, d = discs[k]
-        pts = [np.concatenate([[[a_pt]], restrict(xi, w).coords]) for a_pt, xi in drawn]
-        offsets = np.cumsum([0] + [len(p) for p in pts])
-        blocks = interaction_values(d, np.concatenate(pts), blocks=offsets)
-        return [r.value for r in determinant_ratios(blocks, [len(p) - 1 for p in pts])]
+        w, n, d = discs[k]
+        inside = [f[1][w.contains(f[1])] for f in flat]
+        given = SampleBatch.from_samples(w, inside, seed=seed, method="renewal")
+        return [r.value for r in compound_intensity(spec, w, n, added, given, disc=d)]
 
     local = np.array(_parallel(range(len(discs)), window_intensities, threads)).T
-    closed = np.array(
-        [renewal.global_compound_intensity(forms, a_pt, xi.coords[:, 0]) for a_pt, xi in drawn]
-    )
-    monos, routes = [], []
-    for (a_pt, xi), value in zip(drawn, closed):
-        added = Configuration([(a_pt,)])
-        cand = np.array([candidate_intensity(spec, added, xi, w).value for w, _ in discs])
-        monos.append(
-            float(np.min(np.diff(-cand) / np.maximum(1.0, cand[:-1]))) if len(cand) > 1 else 0.0
-        )
-        routes.append(abs(cand[-1] - value) / max(1.0, abs(value)))
-    monos, routes = np.array(monos), np.array(routes)
     per_window_err = np.abs(local - closed[:, None])
     errs = per_window_err[:, -1]
 
@@ -987,11 +985,11 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
     ]
     rows = [
         [w.sides[0], float(per_window_err[:, k].mean()), float(per_window_err[:, k].max())]
-        for k, (w, _) in enumerate(discs)
+        for k, (w, _, _) in enumerate(discs)
     ]
     series = [
         Series(
-            x=[w.sides[0] for w, _ in discs],
+            x=[w.sides[0] for w, _, _ in discs],
             y=[max(float(per_window_err[:, k].mean()), 1e-18) for k in range(len(discs))],
             label="mean |local - closed|",
         )

@@ -30,9 +30,6 @@ from .quadrature import Quadrature, tensor_gauss_legendre
 
 # eigenvalue dust below this fraction of the largest eigenvalue is dropped
 SPECTRAL_FLOOR = 1e-12
-# derived-K values against a fixed point set are computed for at most this
-# many points at a time
-FEATURE_ROWS = 2048
 
 
 def _coerce(X) -> np.ndarray:
@@ -50,14 +47,16 @@ class Kernel:
     has_closed_form_J: bool
     label: str
 
-    def k_values(self, X, Y, memo: dict | None = None) -> np.ndarray:
-        """Matrix of correlation-kernel values K(x_i, y_j).
-
-        `memo` is an optional dict that a caller keeps for one fixed point
-        set X (such as a rule's nodes) and passes with every call on that X;
-        derived-K families keep the features of X there.
-        """
+    def k_values(self, X, Y) -> np.ndarray:
+        """Matrix of correlation-kernel values K(x_i, y_j)."""
         raise NotImplementedError
+
+    def _k_values_held(self, held: dict, X, Y) -> np.ndarray:
+        """`k_values(X, Y)` for a fixed X whose caller keeps `held` with it.
+
+        Derived-K families keep the features of X in `held`.
+        """
+        return self.k_values(X, Y)
 
     def k_diagonal(self, X) -> np.ndarray:
         """K(x, x) for each row of X."""
@@ -164,7 +163,7 @@ class RenewalExponential(Kernel):
         self.has_closed_form_J = True
         self.label = f"renewal(rho={self.rho}, a={self.a})"
 
-    def k_values(self, X, Y, memo: dict | None = None) -> np.ndarray:
+    def k_values(self, X, Y) -> np.ndarray:
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
@@ -247,16 +246,10 @@ class _DerivedCorrelation:
         """K(X, Y); `left` may carry `scaled_features(X)` from this context."""
         if self.nu.size == 0:
             return np.zeros((X.shape[0], Y.shape[0]))
-        if left is not None:
-            # a fixed number of points at a time, so that long stacks never
-            # hold all their (points x context nodes) tables at once
-            out = np.empty((left.shape[0], Y.shape[0]))
-            for lo in range(0, Y.shape[0], FEATURE_ROWS):
-                out[:, lo:lo + FEATURE_ROWS] = left @ self._feature(Y[lo:lo + FEATURE_ROWS]).T
-            return out
-        AX = self._feature(X)
-        AY = AX if Y is X else self._feature(Y)
-        return (AX * self.coeff[None, :]) @ AY.T
+        AY = self._feature(Y)
+        if left is None:
+            left = (AY if Y is X else self._feature(X)) * self.coeff[None, :]
+        return left @ AY.T
 
     def k_diagonal(self, X: np.ndarray) -> np.ndarray:
         A = self._feature(X)
@@ -292,19 +285,21 @@ class _JPrimitiveKernel(Kernel):
         n = max(n, 8)
         self._context = _DerivedCorrelation(self, window, n)
 
-    def k_values(self, X, Y, memo: dict | None = None) -> np.ndarray:
+    def k_values(self, X, Y) -> np.ndarray:
+        X, Y = _coerce(X), _coerce(Y)
+        self._check_dim(X)
+        self._check_dim(Y)
+        return self._context_for(X, Y).k_values(X, Y)
+
+    def _k_values_held(self, held: dict, X, Y) -> np.ndarray:
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
         ctx = self._context_for(X, Y)
-        if memo is None:
-            return ctx.k_values(X, Y)
-        # features of the fixed X, valid until the context is rebuilt
-        held = memo.get("features")
-        if held is None or held[0] is not ctx:
-            held = (ctx, ctx.scaled_features(X))
-            memo["features"] = held
-        return ctx.k_values(X, Y, left=held[1])
+        # the features of X stay valid until the context is rebuilt
+        if held.get("context") is not ctx:
+            held.update(context=ctx, features=ctx.scaled_features(X))
+        return ctx.k_values(X, Y, left=held["features"])
 
     def k_diagonal(self, X) -> np.ndarray:
         X = _coerce(X)

@@ -49,6 +49,9 @@ SPECTRUM_GATE = 1.0 - 1e-8
 DUST_RELATIVE = 1e-12
 # genuine negative eigenvalues beyond this are a breakdown, not dust
 NEGATIVE_TOLERANCE = 1e-9
+# points whose resolvent columns are evaluated at a time: a long stack never
+# holds its kernel tables (or a derived-K family's feature tables) at once
+COLUMN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -267,10 +270,13 @@ def _resolvent_factor(op: DiscretizedOperator) -> np.ndarray:
 def _half_solve(op: DiscretizedOperator, X: np.ndarray) -> np.ndarray:
     """T = L^{-1} S_X with S_X[i, p] = sqrt(w_i) K(z_i, x_p): one column per point."""
     factor = _resolvent_factor(op)
-    # the node features of derived-K families are kept per operator in this memo
-    memo = op._cache.setdefault("node_features", {})
-    S = op.spec.k_values(op.quad.nodes, X, memo=memo) * op.quad.sqrt_weights[:, None]
-    return scipy.linalg.solve_triangular(factor, S, lower=True, check_finite=False)
+    # derived-K families keep the features of the nodes with the operator
+    held = op._cache.setdefault("node_features", {})
+    S = np.empty((op.size, X.shape[0]), order="F")  # the layout the solve works in
+    for lo in range(0, X.shape[0], COLUMN_CHUNK):
+        cols = op.spec._k_values_held(held, op.quad.nodes, X[lo:lo + COLUMN_CHUNK])
+        S[:, lo:lo + COLUMN_CHUNK] = cols * op.quad.sqrt_weights[:, None]
+    return scipy.linalg.solve_triangular(factor, S, lower=True, check_finite=False, overwrite_b=True)
 
 
 def interaction_values(op: DiscretizedOperator, X, Y=None, *, blocks=None):

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,9 @@ from dpplab.densities import (
     vacuum_probability,
 )
 from dpplab.densities import LOG_UNDERFLOW, RCOND_EXACT, _det_fraction, _log_of_fraction
-from dpplab.errors import DomainError, NoFiniteRange, ZeroDenominator
+from dpplab.errors import DomainError, DuplicatePoint, NoFiniteRange, ZeroDenominator
 from dpplab.experiments import _cpi_family_run
-from dpplab.geometry import Configuration, Window
+from dpplab.geometry import Configuration, SampleBatch, Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
 from dpplab.operators import discretize, fredholm_det_I_minus, interaction_values
 from dpplab.samplers import stream
@@ -51,17 +52,13 @@ class TestDeterminantRatio:
         assert psd_logdet(np.eye(3) * 2.0) == pytest.approx(3 * math.log(2.0))
 
 
-def _one_ratio(block, k):
-    # one block at a time: float64 logdets, or exact determinants when the
-    # spectrum is not well conditioned
+def _exact_dets(block, k):
+    # the exact determinants of block and tail when the spectrum is not well
+    # conditioned (None otherwise, where float64 logdets are used)
     spectrum = np.linalg.eigvalsh(block)
     if spectrum[-1] <= 0 or spectrum[0] < RCOND_EXACT * spectrum[-1]:
-        top = _det_fraction(block)
-        bottom = _det_fraction(block[-k:, -k:]) if k else Fraction(1)
-        if top < 0 and bottom < 0:
-            top, bottom = -top, -bottom
-        return _log_of_fraction(top), _log_of_fraction(bottom)
-    return _one_logdet(block), _one_logdet(block[-k:, -k:]) if k else 0.0
+        return _det_fraction(block), _det_fraction(block[-k:, -k:]) if k else Fraction(1)
+    return None
 
 
 def _one_logdet(matrix):
@@ -91,9 +88,37 @@ class TestDeterminantRatios:
         blocks, tails = case
         got = determinant_ratios(blocks, tails)
         for block, k, ratio in zip(blocks, tails, got):
-            num, den = _one_ratio(block, k)
-            assert ratio.numerator_logdet == num
-            assert ratio.denominator_logdet == den
+            exact = _exact_dets(block, k)
+            if exact is None:
+                expected = _one_logdet(block), _one_logdet(block[-k:, -k:]) if k else 0.0
+            elif exact[0] < 0 and exact[1] < 0:
+                # a roundoff-indefinite tail: the value is still the exact quotient
+                assert ratio.value == pytest.approx(float(exact[0] / exact[1]), rel=1e-12)
+                continue
+            else:
+                expected = _log_of_fraction(exact[0]), _log_of_fraction(exact[1])
+            assert (ratio.numerator_logdet, ratio.denominator_logdet) == expected
+
+    def test_slightly_indefinite_tail_gives_its_schur_complement(self):
+        # a tail C with eigenvalues (1, 0.5, -1e-10) and a head row b = C u
+        # orthogonal to its null direction: both determinants are negative,
+        # and their ratio is the Schur complement a - b' C^-1 b of the tail
+        rng = np.random.default_rng(11)
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        C = (Q * np.array([1.0, 0.5, -1e-10])) @ Q.T
+        C = 0.5 * (C + C.T)
+        u = rng.normal(size=3)
+        b = C @ u
+        block = np.block([[np.array([[u @ C @ u + 0.3]]), b[None, :]], [b[:, None], C]])
+        mpmath.mp.dps = 60
+        entries = mpmath.matrix(block.tolist())
+        tail = entries[1:, 1:]
+        head = entries[1:, 0]
+        schur = entries[0, 0] - (head.T * mpmath.inverse(tail) * head)[0, 0]
+        assert mpmath.det(entries) < 0 and mpmath.det(tail) < 0
+        (ratio,) = determinant_ratios([block], [3])
+        assert ratio.value == pytest.approx(float(schur), rel=1e-9)
+        assert ratio.value == pytest.approx(0.3, rel=1e-4)
 
     def test_empty_block_is_one(self):
         (r,) = determinant_ratios([np.zeros((0, 0))], [0])
@@ -208,6 +233,40 @@ class TestCompoundIntensity:
             )
             assert c3 <= c2 + 1e-9
             assert c2 <= bound + 1e-9
+
+    def test_batches_match_one_configuration_at_a_time(self):
+        rng = np.random.default_rng(3)
+        added, given = [], []
+        for m in (0, 1, 3, 5, 2):
+            pts = rng.uniform(0.2, 5.8, size=(m + 1, 1))
+            added.append(pts[:1])
+            given.append(pts[1:])
+        added.append(np.empty((0, 1)))
+        given.append(np.array([[1.5], [2.5]]))
+        A = SampleBatch.from_samples(self.window, added, seed=0, method="test")
+        G = SampleBatch.from_samples(self.window, given, seed=0, method="test")
+        got = compound_intensity(SPEC, self.window, 100, A, G, disc=self.disc)
+        for a, g, ratio in zip(A.configurations, G.configurations, got):
+            one = compound_intensity(SPEC, self.window, 100, a, g, disc=self.disc)
+            assert ratio.value == pytest.approx(one.value, rel=1e-12)
+
+    def test_batches_keep_the_checks(self):
+        one = SampleBatch.from_samples(self.window, [np.array([[2.0]])], seed=0, method="test")
+        same = SampleBatch.from_samples(self.window, [np.array([[2.0], [3.0]])], seed=0, method="test")
+        # the same point in two different samples is fine
+        other = SampleBatch.from_samples(
+            self.window, [np.array([[2.0]]), np.array([[2.0]])], seed=0, method="test"
+        )
+        outside = SampleBatch.from_samples(Window.interval(0.0, 9.0), [np.array([[8.0]])], seed=0, method="test")
+        with pytest.raises(DuplicatePoint):
+            compound_intensity(SPEC, self.window, 100, one, same, disc=self.disc)
+        with pytest.raises(DomainError):
+            compound_intensity(SPEC, self.window, 100, one, outside, disc=self.disc)
+        with pytest.raises(DomainError):
+            compound_intensity(SPEC, self.window, 100, one, other, disc=self.disc)
+        nothing = SampleBatch.from_samples(self.window, [np.empty((0, 1))] * 2, seed=0, method="test")
+        got = compound_intensity(SPEC, self.window, 100, other, nothing, disc=self.disc)
+        assert len(got) == 2 and got[0].value == got[1].value
 
     def test_chain_rule_telescopes(self):
         added = Configuration([(1.2,), (2.8,)])

@@ -238,7 +238,7 @@ class TestHalfSolveForm:
         spec = FiniteRangeFourier(1.0, 0.8, dimension=1)
         disc = discretize(spec, "K", Window.interval(0.0, 6.0), 100)
         X = np.array([[1.0], [3.0]])
-        interaction_values(disc, X)  # fills the node-feature memo
+        interaction_values(disc, X)  # keeps the node features with the operator
         spec.k_values(np.array([[-30.0]]), np.array([[-30.0]]))  # forces a wider context
         assert np.array_equal(interaction_values(disc, X), _fresh_interaction(disc, X))
 
