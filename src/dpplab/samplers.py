@@ -2,12 +2,15 @@
 
 Reproducibility: every sample index gets its own counter-based stream
 (Philox keyed by (seed, index)), so batches are bit-identical for a
-given (seed, parameters) regardless of chunking.
+given (seed, parameters) regardless of chunking.  The spectral sampler
+draws from projection kernels by the O(N k^2) Gram-Schmidt chain rule,
+run on (t, N, k) stacks of samples with equal point counts k.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +33,20 @@ def stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one sample index."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _streams(seed: int, start: int, count: int) -> Iterator[np.random.Generator]:
+    """`stream(seed, i)` for i in start..start + count - 1, each valid until the next.
+
+    One generator is rewound to each key, which skips the entropy draw of
+    a fresh bit generator.
+    """
+    rng = stream(seed, start)
+    state = rng.bit_generator.state
+    for index in range(start, start + count):
+        state["state"]["key"][1] = index & _MASK64
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _uniform_in(window: Window, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -60,8 +77,7 @@ def sample_poisson(
         raise BadBound(f"intensity {intensity} exceeds the envelope {bound}")
     rate = bound * window.volume
     samples = []
-    for i in range(count):
-        rng = stream(seed, index_offset + i)
+    for rng in _streams(seed, index_offset, count):
         n = int(rng.poisson(rate)) if rate > 0 else 0
         pts = _uniform_in(window, rng, n)
         if n and not constant:
@@ -81,41 +97,45 @@ def sample_poisson(
     )
 
 
-def _orthonormalize(V: np.ndarray) -> np.ndarray:
-    # modified Gram-Schmidt; the column count stays small
-    k = V.shape[1]
-    for c in range(k):
-        col = V[:, c]
-        for p in range(c):
-            col -= (V[:, p] @ col) * V[:, p]
-        norm = np.linalg.norm(col)
-        if norm < 1e-12:
-            raise NumericalBreakdown("projection basis collapsed during sampling")
-        V[:, c] = col / norm
-    return V
+_BLOCK = 256  # samples per stacked pass; bounds the (t, N, k) temporaries
+_PIVOT_FLOOR = 1e-12  # a picked node's conditional marginal below this means rank loss
 
 
-def _projection_sample(U: np.ndarray, rng: np.random.Generator) -> list[int]:
-    """Sequential sample of |cols| node indices from a projection kernel."""
-    V = U.copy()
-    chosen: list[int] = []
-    for remaining in range(V.shape[1], 0, -1):
-        p = np.einsum("nj,nj->n", V, V)
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if not np.isfinite(total) or total <= 0:
+def _chain_rule(V: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Node indices drawn from a stack of projection kernels, in pick order.
+
+    `V` is (t, N, k) with orthonormal columns in each slice and `u` holds
+    the (t, k) step uniforms.  Gram-Schmidt chain rule (Hough, Krishnapur,
+    Peres, Virag 2006, Alg. 18): p holds the conditional marginals; step s
+    picks idx by inverse CDF, then c_s = (V V[idx] - sum_{r<s} c_r c_r[idx])
+    / sqrt(p[idx]) and p -= c_s**2.  With c_r = V q_r the sum is formed on
+    the k coefficients q_r, so a step costs O(N k).
+    """
+    t, N, k = V.shape
+    rows = np.arange(t)
+    p = np.einsum("tnj,tnj->tn", V, V)
+    Q = np.empty((t, k - 1, k))
+    chosen = np.empty((t, k), dtype=np.int64)
+    for s in range(k):
+        np.maximum(p, 0.0, out=p)
+        total = p.sum(axis=1)
+        if not np.all(np.isfinite(total) & (total > 0)):
             raise NumericalBreakdown("projection marginals vanished")
-        idx = int(np.searchsorted(np.cumsum(p), rng.random() * total))
-        idx = min(idx, len(p) - 1)
-        chosen.append(idx)
-        if remaining == 1:
+        below = np.cumsum(p, axis=1) < (u[:, s] * total)[:, None]
+        idx = np.minimum(below.sum(axis=1), N - 1)
+        chosen[:, s] = idx
+        pivot = p[rows, idx]
+        if np.any(pivot < _PIVOT_FLOOR):
+            raise NumericalBreakdown("projection basis collapsed during sampling")
+        if s == k - 1:
             break
-        j = int(np.argmax(np.abs(V[idx])))
-        pivot = V[idx, j]
-        col = V[:, j].copy()
-        V = np.delete(V, j, axis=1)
-        V -= np.outer(col, V[idx] / pivot)
-        V = _orthonormalize(V)
+        row, done = V[rows, idx, :, None], Q[:, :s]
+        q = row - done.transpose(0, 2, 1) @ (done @ row)
+        q /= np.sqrt(pivot)[:, None, None]
+        Q[:, s] = q[:, :, 0]
+        c = (V @ q)[:, :, 0]
+        p -= np.square(c, out=c)
+        p[rows, idx] = 0.0
     return chosen
 
 
@@ -133,9 +153,12 @@ def sample_dpp_spectral(
     """Spectral sampler on the Nystrom nodes.
 
     Eigenfunctions enter independently with probability lambda_i, then
-    that many nodes are drawn sequentially from the projection kernel.
-    The law converges to the window restriction of the process as the
-    rule refines.
+    that many nodes are drawn from the projection kernel by the O(N k^2)
+    Gram-Schmidt chain rule.  Sample i reads `stream(seed, index_offset
+    + i)`: the coin flips, then one uniform per pick.  Blocks of `_BLOCK`
+    samples run as one (t, N, k) stack per count k, and a sample's picks
+    do not depend on its stack.  The law converges to the window
+    restriction of the process as the rule refines.
     """
     disc = disc or discretize(spec, "K", window, n, panels=panels)
     spect = disc.spectral()
@@ -147,10 +170,21 @@ def sample_dpp_spectral(
         raise NumericalBreakdown(f"eigenvalue {lams[0]} >= 1 in the sampler")
     nodes = disc.quad.nodes
     samples = []
-    for i in range(count):
-        rng = stream(seed, index_offset + i)
-        select = rng.random(lams.size) < lams
-        samples.append(nodes[_projection_sample(U[:, select], rng)] if np.any(select) else nodes[:0])
+    for start in range(index_offset, index_offset + count, _BLOCK):
+        select, steps = [], []
+        for rng in _streams(seed, start, min(_BLOCK, index_offset + count - start)):
+            select.append(rng.random(lams.size) < lams)
+            steps.append(rng.random(np.count_nonzero(select[-1])))
+        select = np.array(select)
+        ks = select.sum(axis=1)
+        block = [nodes[:0]] * len(ks)
+        for k in np.unique(ks[ks > 0]):
+            members = np.flatnonzero(ks == k)
+            cols = np.nonzero(select[members])[1].reshape(-1, k)
+            V = np.ascontiguousarray(U[:, cols].transpose(1, 0, 2))
+            for m, picks in zip(members, _chain_rule(V, np.array([steps[m] for m in members]))):
+                block[m] = nodes[picks]
+        samples += block
     return SampleBatch.from_samples(
         window,
         samples,
@@ -435,26 +469,27 @@ def load_batch(prefix) -> SampleBatch:
         tuple(float(v) for v in sec["window_lower"].split(",")),
         tuple(float(v) for v in sec["window_upper"].split(",")),
     )
-    ids, rows = [], []
     with open(prefix + ".csv", "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        expected = "sample_id,x" if d == 1 else "sample_id,x,y"
-        if header.strip() != expected:
-            raise DomainError(f"unexpected batch header {header.strip()!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 1 + d:
-                raise DomainError(f"malformed batch row {line.strip()!r}")
-            ids.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
+        header = fh.readline().strip()
+        body = fh.read()
+    if header != ("sample_id,x" if d == 1 else "sample_id,x,y"):
+        raise DomainError(f"unexpected batch header {header!r}")
+    table = np.empty((0, 1 + d))
+    if body.strip():
+        try:
+            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:  # a ragged row or a field that is not a number
+            raise DomainError(f"malformed batch row: {exc}") from None
+    ids = table[:, 0]
+    if table.shape[1] != 1 + d or np.any(ids != np.round(ids)):
+        raise DomainError(f"malformed batch rows: {table.shape[1]} columns or a fractional sample id")
     # sample ids outside 0..count-1 leave offsets that SampleBatch rejects
-    ids = np.array(ids, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
     params = dict(parser["params"]) if parser.has_section("params") else {}
     metadata = dict(parser["metadata"]) if parser.has_section("metadata") else {}
     return SampleBatch(
         window=window,
-        coords=np.array(rows, dtype=float).reshape(-1, d)[order],
+        coords=table[order, 1:],
         offsets=np.searchsorted(ids[order], np.arange(count + 1)),
         seed=sec.getint("seed"),
         method=sec["method"],

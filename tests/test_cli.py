@@ -28,19 +28,23 @@ class TestRun:
         assert "matrix-ineq-suite" in stdout and "PASS" in stdout
 
     @pytest.mark.parametrize(
-        "name, instances",
-        [("cpi-monotonicity", 40), ("cpi-limit", 12)],
-        ids=["cpi-monotonicity", "cpi-limit"],
+        "name, params",
+        [
+            ("cpi-monotonicity", "instances = 40"),
+            ("cpi-limit", "instances = 12"),
+            # 16 spectral chunks at 4 threads: every sampler stack is composed differently
+            ("sampler-validation", "spectral_samples = 600\nbirth_death_samples = 60"),
+            ("domination", "samples = 400"),
+        ],
+        ids=["cpi-monotonicity", "cpi-limit", "sampler-validation", "domination"],
     )
-    def test_reruns_are_byte_identical(self, tmp_path, name, instances):
-        cfg = write(
-            tmp_path,
-            f"[experiment]\nname = {name}\nseed = 3\n\n[params]\ninstances = {instances}\n",
-        )
+    def test_reruns_are_byte_identical(self, tmp_path, name, params):
+        cfg = write(tmp_path, f"[experiment]\nname = {name}\nseed = 3\n\n[params]\n{params}\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", cfg, "--out", str(out_a)]) == 0
         assert main(["run", cfg, "--out", str(out_b), "--threads", "4"]) == 0
-        assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+        for output in ("results.csv", "summary.txt"):
+            assert (out_a / output).read_bytes() == (out_b / output).read_bytes()
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write(
@@ -58,6 +62,13 @@ class TestRun:
         # birth-death envelope
         ini = str(EXAMPLES / "sampler-validation.ini")
         assert main(["run", ini, "--seed", str(seed), "--out", str(tmp_path)]) != 3
+
+    @pytest.mark.parametrize("seed", [17, 18])
+    @pytest.mark.parametrize("ini", sorted(EXAMPLES.glob("*.ini")), ids=lambda path: path.stem)
+    def test_examples_never_break_down(self, tmp_path, ini, seed):
+        # seed sweep: no example config ends in a NumericalBreakdown (exit 3);
+        # the examples run at seed 7 and the acceptance gates at 101-110
+        assert main(["run", str(ini), "--seed", str(seed), "--out", str(tmp_path)]) != 3
 
     def test_all_example_configs_parse(self, tmp_path):
         # cheap structural check: every documented example names a real
