@@ -5,10 +5,14 @@ Three families:
 * ``RenewalExponential(rho, a)`` -- d=1, K(x,y) = rho * exp(-a|x-y|) with
   rho < a/2; both K and J have closed forms.
 * ``FiniteRangeFourier(R, amplitude, ...)`` -- J is the primitive, a
-  triangular finite-range profile with nonnegative Fourier transform;
-  K = J(I+J)^{-1} is evaluated spectrally on a padded window.
+  triangular finite-range profile with nonnegative Fourier transform.
 * ``Modulated(base, psi, support)`` -- interaction J M_psi J smeared by a
-  bounded nonnegative modulation; K derived as above.
+  bounded nonnegative modulation.
+
+For the last two K is derived from J = K (I - K)^{-1}:
+K = J (I + J)^{-1} = J - J (I + J)^{-1} J.  A context on a padded window
+evaluates this identity in half-solve form, K(x, y) = J(x, y) - t_x . t_y,
+with one Cholesky factor of I + J on its rule (`_DerivedCorrelation`).
 
 All kernel values here are real and symmetric in (x, y).
 """
@@ -19,17 +23,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
-from .errors import (
-    DimensionMismatch,
-    NoClosedForm,
-    ParameterOutOfRange,
-)
+from .errors import DimensionMismatch, NumericalBreakdown, ParameterOutOfRange
 from .geometry import Window, as_point
-from .quadrature import Quadrature, tensor_gauss_legendre
-
-# eigenvalue dust below this fraction of the largest eigenvalue is dropped
-SPECTRAL_FLOOR = 1e-12
+from .quadrature import tensor_gauss_legendre
 
 
 def _coerce(X) -> np.ndarray:
@@ -51,13 +49,6 @@ class Kernel:
         """Matrix of correlation-kernel values K(x_i, y_j)."""
         raise NotImplementedError
 
-    def _k_values_held(self, held: dict, X, Y) -> np.ndarray:
-        """`k_values(X, Y)` for a fixed X whose caller keeps `held` with it.
-
-        Derived-K families keep the features of X in `held`.
-        """
-        return self.k_values(X, Y)
-
     def k_diagonal(self, X) -> np.ndarray:
         """K(x, x) for each row of X."""
         raise NotImplementedError
@@ -65,6 +56,12 @@ class Kernel:
     def j_values(self, X, Y) -> np.ndarray:
         """Matrix of global interaction-kernel values J(x_i, y_j)."""
         raise NotImplementedError
+
+    def j_diagonal(self, X) -> np.ndarray:
+        """J(x, x) for each row of X: the constant `interaction_diagonal` unless overridden."""
+        X = _coerce(X)
+        self._check_dim(X)
+        return np.full(X.shape[0], self.interaction_diagonal)
 
     def norm_bound(self) -> float:
         """An a priori upper bound for the operator norm of K (< 1)."""
@@ -200,111 +197,93 @@ class RenewalExponential(Kernel):
 
 
 class _DerivedCorrelation:
-    """Spectral evaluation of K = J (I + J)^{-1} from a padded-window rule.
+    """K = J - J (I + J)^{-1} J in half-solve form on one padded-window rule.
 
-    The padded window covers the requested base window plus `pad` on every
-    side; truncating J there perturbs K by an exponentially small amount
-    while keeping it an exactly positive-semidefinite kernel (the values
-    below form a Gram sum with nonnegative coefficients).
+    With the rule's nodes z_i and weights w_i, M_J[i, j] = sqrt(w_i w_j)
+    J(z_i, z_j) and the lower Cholesky factor L L^T = I + M_J,
+
+        K(x, y) = J(x, y) - t_x . t_y,   t_x = L^{-1} s_x,   s_x[i] = sqrt(w_i) J(z_i, x).
+
+    I + M_J has eigenvalues >= 1, so L is well conditioned.  K(X, X) is the
+    Schur complement of I + M_J in the PSD matrix [[J(X, X), S^T], [S, I + M_J]]
+    (the J Gram matrix of X and the weighted nodes, plus diag(0, I)), so K
+    stays exactly positive semidefinite and K(x, x) <= J(x, x).  A context
+    is immutable: its values depend on its window and node count only.
     """
 
-    def __init__(self, kernel: "Kernel", base_window: Window, nodes_per_axis: int):
-        pad = kernel.context_pad_ranges * kernel.declared_range
-        padded = base_window.pad(pad)
-        quad = tensor_gauss_legendre(padded, nodes_per_axis)
+    __slots__ = ("kernel", "quad", "factor")
+
+    def __init__(self, kernel: "DerivedKernel", window: Window, nodes_per_axis: int):
+        quad = tensor_gauss_legendre(window, nodes_per_axis)
         sw = quad.sqrt_weights
-        M = kernel.j_values(quad.nodes, quad.nodes) * np.outer(sw, sw)
-        M = 0.5 * (M + M.T)
-        nu, U = np.linalg.eigh(M)
-        keep = nu > max(SPECTRAL_FLOOR * max(nu.max(), 0.0), 0.0)
-        if not np.any(keep):
-            keep = np.zeros_like(nu, dtype=bool)
-        self.window = base_window
-        self.quad = quad
-        self.nu = nu[keep]
-        self.U = U[:, keep]
-        # K = sum_i (s_x . u_i)(s_y . u_i) / (nu_i (1 + nu_i))
-        self.coeff = 1.0 / (self.nu * (1.0 + self.nu)) if self.nu.size else self.nu
+        shifted = kernel.j_values(quad.nodes, quad.nodes) * np.outer(sw, sw)
+        shifted[np.diag_indices_from(shifted)] += 1.0
+        try:
+            factor = scipy.linalg.cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdown(f"{kernel.label}: I + J is not positive definite") from exc
+        if not np.all(np.isfinite(factor)):
+            raise NumericalBreakdown(f"{kernel.label}: derived-K factor has non-finite entries")
+        factor.flags.writeable = False
         self.kernel = kernel
+        self.quad = quad
+        self.factor = factor
 
-    def covers(self, X: np.ndarray) -> bool:
-        win = self.window
-        lo = np.asarray(win.lower)
-        hi = np.asarray(win.upper)
-        return bool(np.all(X >= lo) and np.all(X <= hi))
+    def half_solve(self, X: np.ndarray) -> np.ndarray:
+        """Columns t_x = L^{-1} s_x, one per row of X."""
+        # the transpose of a C-ordered table is the Fortran layout the solve works in
+        S = (self.kernel.j_values(X, self.quad.nodes) * self.quad.sqrt_weights[None, :]).T
+        return scipy.linalg.solve_triangular(self.factor, S, lower=True, check_finite=False, overwrite_b=True)
 
-    def _feature(self, X: np.ndarray) -> np.ndarray:
-        # rows: points, columns: retained eigenpairs
-        S = self.kernel.j_values(X, self.quad.nodes) * self.quad.sqrt_weights[None, :]
-        return S @ self.U
+    def k_values(self, X: np.ndarray, Y: np.ndarray, TX=None, TY=None) -> np.ndarray:
+        """K(X, Y); `TX`, `TY` may carry `half_solve(X)`, `half_solve(Y)`."""
+        TX = self.half_solve(X) if TX is None else TX
+        if TY is None:
+            TY = TX if Y is X else self.half_solve(Y)
+        return self.kernel.j_values(X, Y) - TX.T @ TY
 
-    def scaled_features(self, X: np.ndarray) -> np.ndarray:
-        """Rows a_x diag(c), so that K(x, y) = (a_x diag(c)) . a_y."""
-        return self._feature(X) * self.coeff[None, :]
-
-    def k_values(self, X: np.ndarray, Y: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
-        """K(X, Y); `left` may carry `scaled_features(X)` from this context."""
-        if self.nu.size == 0:
-            return np.zeros((X.shape[0], Y.shape[0]))
-        AY = self._feature(Y)
-        if left is None:
-            left = (AY if Y is X else self._feature(X)) * self.coeff[None, :]
-        return left @ AY.T
-
-    def k_diagonal(self, X: np.ndarray) -> np.ndarray:
-        A = self._feature(X)
-        return (A * A) @ self.coeff
+    def k_diagonal(self, X: np.ndarray, TX=None) -> np.ndarray:
+        TX = self.half_solve(X) if TX is None else TX
+        return self.kernel.j_diagonal(X) - np.einsum("ip,ip->p", TX, TX)
 
 
-class _JPrimitiveKernel(Kernel):
-    """Base for families where J is closed-form and K is derived."""
+class DerivedKernel(Kernel):
+    """Base for families where J is closed-form and K is derived from it.
+
+    K is evaluated in a context (`attach_context`) on a window padded by
+    `context_pad_ranges` interaction ranges.  A discretized operator builds
+    one context for its window and evaluates every K through it; a bare
+    `k_values`/`k_diagonal` call builds one for the bounding box of its
+    arguments and keeps nothing.
+    """
 
     context_pad_ranges: float
     context_nodes_per_range: float
-    _context: _DerivedCorrelation | None
 
-    def _context_for(self, X: np.ndarray, Y: np.ndarray) -> _DerivedCorrelation:
-        ctx = self._context
-        if ctx is not None and ctx.covers(X) and ctx.covers(Y):
-            return ctx
-        pts = np.concatenate([X, Y], axis=0)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        if ctx is not None:
-            lo = np.minimum(lo, ctx.window.lower)
-            hi = np.maximum(hi, ctx.window.upper)
-        side = np.maximum(hi - lo, 0.5 * self.declared_range)
-        window = Window(tuple(lo), tuple(lo + side))
-        self.attach_context(window)
-        return self._context
-
-    def attach_context(self, window: Window) -> None:
-        """Build (and cache) the derived-K context covering `window`."""
-        span = max(window.sides) + 2 * self.context_pad_ranges * self.declared_range
+    def attach_context(self, window: Window) -> _DerivedCorrelation:
+        """A new derived-K context for points in `window` (nothing is stored)."""
+        pad = self.context_pad_ranges * self.declared_range
+        span = max(window.sides) + 2 * pad
         n = int(math.ceil(span * self.context_nodes_per_range / self.declared_range))
-        n = max(n, 8)
-        self._context = _DerivedCorrelation(self, window, n)
+        return _DerivedCorrelation(self, window.pad(pad), max(n, 8))
+
+    def bounding_window(self, *point_sets: np.ndarray) -> Window:
+        """Bounding box of the points, each side at least half the interaction range."""
+        pts = np.concatenate(point_sets, axis=0)
+        lo = pts.min(axis=0)
+        side = np.maximum(pts.max(axis=0) - lo, 0.5 * self.declared_range)
+        return Window(tuple(lo), tuple(lo + side))
 
     def k_values(self, X, Y) -> np.ndarray:
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
-        return self._context_for(X, Y).k_values(X, Y)
-
-    def _k_values_held(self, held: dict, X, Y) -> np.ndarray:
-        X, Y = _coerce(X), _coerce(Y)
-        self._check_dim(X)
-        self._check_dim(Y)
-        ctx = self._context_for(X, Y)
-        # the features of X stay valid until the context is rebuilt
-        if held.get("context") is not ctx:
-            held.update(context=ctx, features=ctx.scaled_features(X))
-        return ctx.k_values(X, Y, left=held["features"])
+        return self.attach_context(self.bounding_window(X, Y)).k_values(X, Y)
 
     def k_diagonal(self, X) -> np.ndarray:
         X = _coerce(X)
         self._check_dim(X)
-        return self._context_for(X, X).k_diagonal(X)
+        return self.attach_context(self.bounding_window(X)).k_diagonal(X)
 
     def norm_bound(self) -> float:
         mass = self.interaction_mass()
@@ -320,7 +299,7 @@ def triangular_profile(diff: np.ndarray, R: float) -> np.ndarray:
     return np.prod(np.clip(1.0 - np.abs(diff) / R, 0.0, None), axis=-1)
 
 
-class FiniteRangeFourier(_JPrimitiveKernel):
+class FiniteRangeFourier(DerivedKernel):
     """Finite-range interaction j(x - y) with nonnegative Fourier transform.
 
     The default profile is the pure triangular factor
@@ -364,16 +343,23 @@ class FiniteRangeFourier(_JPrimitiveKernel):
             if context_nodes_per_range is not None
             else (16.0 if dimension == 1 else 5.0)
         )
-        self._context = None
 
     def j_values(self, X, Y) -> np.ndarray:
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
-        diff = X[:, None, :] - Y[None, :, :]
-        vals = self.amplitude * triangular_profile(diff, self.R)
         if self.profile is not None:
-            vals = vals * np.asarray(self.profile(diff), dtype=float)
+            diff = X[:, None, :] - Y[None, :, :]
+            vals = self.amplitude * triangular_profile(diff, self.R)
+            return vals * np.asarray(self.profile(diff), dtype=float)
+        # the triangular factor axis by axis, in the arithmetic of triangular_profile
+        vals = np.ones((X.shape[0], Y.shape[0]))
+        for i in range(self.dimension):
+            factor = np.abs(X[:, i, None] - Y[None, :, i])
+            factor /= self.R
+            np.subtract(1.0, factor, out=factor)
+            vals *= np.clip(factor, 0.0, None, out=factor)
+        vals *= self.amplitude
         return vals
 
     def interaction_mass(self) -> float:
@@ -393,8 +379,7 @@ class FiniteRangeFourier(_JPrimitiveKernel):
         return float(vals.sum() * cell)
 
     def diagonal_bound(self) -> float:
-        # the context's K(x, x) = sum_i (s_x . u_i)^2 / (nu_i (1 + nu_i)) is at most
-        # s_x . M_J^+ s_x <= J(x, x) = j(0), as the J Gram matrix of x and the nodes is PSD
+        # a context's K(x, x) = J(x, x) - |t_x|^2 <= J(x, x) = j(0)
         return self.interaction_diagonal
 
     @property
@@ -407,7 +392,7 @@ class FiniteRangeFourier(_JPrimitiveKernel):
         return base
 
 
-class Modulated(_JPrimitiveKernel):
+class Modulated(DerivedKernel):
     """Interaction smeared through a bounded nonnegative modulation psi.
 
     L(x, y) = int j(x - z) psi(z) j(z - y) dz, evaluated on a fixed cached
@@ -452,7 +437,6 @@ class Modulated(_JPrimitiveKernel):
             if context_nodes_per_range is not None
             else (12.0 if self.dimension == 1 else 4.0)
         )
-        self._context = None
 
     def j_values(self, X, Y) -> np.ndarray:
         X, Y = _coerce(X), _coerce(Y)
@@ -461,6 +445,12 @@ class Modulated(_JPrimitiveKernel):
         jx = self.base.j_values(X, self._rule.nodes)
         jy = jx if Y is X else self.base.j_values(Y, self._rule.nodes)
         return (jx * self._psi_weights[None, :]) @ jy.T
+
+    def j_diagonal(self, X) -> np.ndarray:
+        X = _coerce(X)
+        self._check_dim(X)
+        jx = self.base.j_values(X, self._rule.nodes)
+        return (jx * jx) @ self._psi_weights
 
     def interaction_mass(self) -> float:
         # int L <= (int j)^2 * sup psi over support; use the rule directly
@@ -471,8 +461,8 @@ class Modulated(_JPrimitiveKernel):
         return abs(total)
 
     def diagonal_bound(self) -> float:
-        # K(x, x) <= L(x, x) as for FiniteRangeFourier; L(x, x) = sum_q w_q psi(z_q)
-        # j(x - z_q)^2 and |j| <= j(0)
+        # a context's K(x, x) = L(x, x) - |t_x|^2 <= L(x, x) = sum_q w_q psi(z_q)
+        # j(x - z_q)^2, and |j| <= j(0)
         return self.base.interaction_diagonal**2 * float(self._psi_weights.sum())
 
 

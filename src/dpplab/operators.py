@@ -19,6 +19,11 @@ positive-semidefinite kernels, so every configuration matrix assembled
 this way is PSD and the determinant inequalities under test are exact
 matrix facts, independent of discretization error.
 
+For a derived-K family (`kernels.DerivedKernel`) the operator owns one
+immutable context on its window, and every K value made through it (the
+matrix, the columns s_x, the K(x, y) summand) comes from that context, so
+values depend on the operator alone and not on other queries.
+
 The spectrum gate (top eigenvalue below `SPECTRUM_GATE`) and the
 determinant formulas read eigenvalues only (`eigvalsh`); eigenvectors
 are computed only for the samplers and the spectral map of
@@ -27,6 +32,7 @@ are computed only for the samplers and the spectral map of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +46,7 @@ from .errors import (
     SpectrumAtOne,
 )
 from .geometry import Window
-from .kernels import Kernel
+from .kernels import DerivedKernel, Kernel
 from .quadrature import Quadrature, tensor_gauss_legendre
 
 # (H) gate: refuse spectral transforms when the top eigenvalue reaches 1
@@ -49,8 +55,8 @@ SPECTRUM_GATE = 1.0 - 1e-8
 DUST_RELATIVE = 1e-12
 # genuine negative eigenvalues beyond this are a breakdown, not dust
 NEGATIVE_TOLERANCE = 1e-9
-# points whose resolvent columns are evaluated at a time: a long stack never
-# holds its kernel tables (or a derived-K family's feature tables) at once
+# points whose resolvent columns are evaluated at a time: a long stack of
+# blocks never holds its kernel tables (or a derived-K context's columns) at once
 COLUMN_CHUNK = 512
 
 
@@ -91,12 +97,20 @@ class DiscretizedOperator:
     def size(self) -> int:
         return self.quad.size
 
+    def _cached(self, key: str, compute: Callable[[], object]):
+        """The value of `key`, computed on first use; concurrent first uses share one object."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache.setdefault(key, compute())
+        return value
+
     def spectral(self) -> SpectralData:
-        if "spectral" not in self._cache:
+        def compute():
             vals, vecs = np.linalg.eigh(self.matrix)
             order = np.argsort(vals)[::-1]
-            self._cache["spectral"] = SpectralData(vals[order], vecs[:, order])
-        return self._cache["spectral"]
+            return SpectralData(vals[order], vecs[:, order])
+
+        return self._cached("spectral", compute)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues (descending) from `eigvalsh`, whether or not `spectral` ran.
@@ -104,9 +118,7 @@ class DiscretizedOperator:
         Gates and determinants read only these, so their values do not
         depend on call order.
         """
-        if "eigenvalues" not in self._cache:
-            self._cache["eigenvalues"] = np.linalg.eigvalsh(self.matrix)[::-1]
-        return self._cache["eigenvalues"]
+        return self._cached("eigenvalues", lambda: np.linalg.eigvalsh(self.matrix)[::-1])
 
     def clipped_eigenvalues(self) -> np.ndarray:
         """Spectrum with roundoff dust clipped to zero (descending)."""
@@ -131,12 +143,7 @@ def discretize(
     n: int,
     panels: int | None = None,
 ) -> DiscretizedOperator:
-    """Symmetrized Nystrom matrix of K or J on `window` with n nodes per axis.
-
-    Derived-correlation families evaluate K in whatever padded context
-    their kernel holds at the time; a later query outside it rebuilds the
-    context, so values are not pinned to this window.
-    """
+    """Symmetrized Nystrom matrix of K or J on `window` with n nodes per axis."""
     if which not in ("K", "J"):
         raise DomainError(f"which must be 'K' or 'J', got {which!r}")
     if window.dimension != spec.dimension:
@@ -150,9 +157,19 @@ def discretize(
 
 
 def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOperator:
-    """Discretize on an explicit rule (e.g. a union of disjoint windows)."""
+    """Discretize on an explicit rule (e.g. a union of disjoint windows).
+
+    A derived-K family's K comes from one context covering the rule's
+    window (or its nodes' bounding box), kept with the operator.
+    """
+    held = {}
     if which == "K":
-        values = spec.k_values(quad.nodes, quad.nodes)
+        held["context"] = ctx = _k_evaluator(spec, quad)
+        if ctx is spec:
+            values = spec.k_values(quad.nodes, quad.nodes)
+        else:
+            held["node_half_solve"] = T = ctx.half_solve(quad.nodes)
+            values = ctx.k_values(quad.nodes, quad.nodes, T, T)
         kind = "K"
     elif which == "J":
         if not spec.has_closed_form_J:
@@ -162,7 +179,16 @@ def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOper
     else:
         raise DomainError(f"which must be 'K' or 'J', got {which!r}")
     sw = quad.sqrt_weights
-    return DiscretizedOperator(quad, values * np.outer(sw, sw), spec, kind)
+    op = DiscretizedOperator(quad, values * np.outer(sw, sw), spec, kind)
+    op._cache.update(held)
+    return op
+
+
+def _k_evaluator(spec: Kernel, quad: Quadrature):
+    """What evaluates K on a rule: a new derived-K context covering it, or the kernel itself."""
+    if not isinstance(spec, DerivedKernel):
+        return spec
+    return spec.attach_context(quad.window if quad.window is not None else spec.bounding_window(quad.nodes))
 
 
 def operator_trace(op: DiscretizedOperator) -> float:
@@ -258,23 +284,32 @@ def _resolvent_factor(op: DiscretizedOperator) -> np.ndarray:
     """
     if op.kind != "K":
         raise DomainError("resolvent extension needs a correlation operator")
-    if "chol" not in op._cache:
+
+    def compute():
         _gate(op)  # enforces the spectrum-below-one hypothesis
         factor = scipy.linalg.cholesky(np.eye(op.size) - op.matrix, lower=True, check_finite=False)
         if not np.all(np.isfinite(factor)):
             raise NumericalBreakdown(f"{op.kind} resolvent factor has non-finite entries")
-        op._cache["chol"] = factor
-    return op._cache["chol"]
+        return factor
+
+    return op._cached("chol", compute)
+
+
+def _k_context(op: DiscretizedOperator):
+    """The operator's `_k_evaluator`: `discretize_on` keeps the one its matrix
+    came from, and an operator built directly makes its own on first use."""
+    return op._cached("context", lambda: _k_evaluator(op.spec, op.quad))
 
 
 def _half_solve(op: DiscretizedOperator, X: np.ndarray) -> np.ndarray:
     """T = L^{-1} S_X with S_X[i, p] = sqrt(w_i) K(z_i, x_p): one column per point."""
     factor = _resolvent_factor(op)
-    # derived-K families keep the features of the nodes with the operator
-    held = op._cache.setdefault("node_features", {})
+    ctx, nodes = _k_context(op), op.quad.nodes
+    # a derived-K context's columns of the nodes are kept with the operator
+    held = () if ctx is op.spec else (op._cached("node_half_solve", lambda: ctx.half_solve(nodes)),)
     S = np.empty((op.size, X.shape[0]), order="F")  # the layout the solve works in
     for lo in range(0, X.shape[0], COLUMN_CHUNK):
-        cols = op.spec._k_values_held(held, op.quad.nodes, X[lo:lo + COLUMN_CHUNK])
+        cols = ctx.k_values(nodes, X[lo:lo + COLUMN_CHUNK], *held)
         S[:, lo:lo + COLUMN_CHUNK] = cols * op.quad.sqrt_weights[:, None]
     return scipy.linalg.solve_triangular(factor, S, lower=True, check_finite=False, overwrite_b=True)
 
@@ -289,28 +324,29 @@ def interaction_values(op: DiscretizedOperator, X, Y=None, *, blocks=None):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     TX = _half_solve(op, X)
+    ctx = _k_context(op)
     if blocks is not None:
         if Y is not None:
             raise DomainError("blocks take one point set")
         out = []
         for lo, hi in zip(blocks[:-1], blocks[1:]):
             Xb, Tb = X[lo:hi], TX[:, lo:hi]
-            vals = op.spec.k_values(Xb, Xb) + Tb.T @ Tb
+            vals = ctx.k_values(Xb, Xb) + Tb.T @ Tb
             out.append(0.5 * (vals + vals.T))
         return out
     if Y is None or Y is X:
-        out = op.spec.k_values(X, X) + TX.T @ TX
+        out = ctx.k_values(X, X) + TX.T @ TX
         return 0.5 * (out + out.T)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     TY = _half_solve(op, Y)
-    return op.spec.k_values(X, Y) + TX.T @ TY
+    return ctx.k_values(X, Y) + TX.T @ TY
 
 
 def interaction_diagonal(op: DiscretizedOperator, X) -> np.ndarray:
     """J_[Lambda](x, x) for each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = _half_solve(op, X)
-    return op.spec.k_diagonal(X) + np.einsum("ip,ip->p", T, T)
+    return _k_context(op).k_diagonal(X) + np.einsum("ip,ip->p", T, T)
 
 
 def interaction_diagonal_bound(op: DiscretizedOperator) -> float:

@@ -6,13 +6,23 @@ are the only places the kink can sit between nodes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionMismatch, DomainError
 from .geometry import Window
+
+
+@lru_cache(maxsize=None)
+def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of one order on [-1, 1]."""
+    g, w = leggauss(order)
+    g.flags.writeable = False
+    w.flags.writeable = False
+    return g, w
 
 
 def _axis_rule(lo: float, hi: float, n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -27,7 +37,7 @@ def _axis_rule(lo: float, hi: float, n: int, panels: int) -> tuple[np.ndarray, n
     edges = np.linspace(lo, hi, panels + 1)
     xs, ws = [], []
     for i, p in enumerate(orders):
-        g, w = leggauss(p)
+        g, w = _reference_rule(p)
         half = 0.5 * (edges[i + 1] - edges[i])
         mid = 0.5 * (edges[i + 1] + edges[i])
         xs.append(mid + half * g)

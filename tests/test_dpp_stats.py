@@ -24,7 +24,7 @@ from dpplab.densities import (
     psd_logdet,
     vacuum_probability,
 )
-from dpplab.densities import LOG_UNDERFLOW, RCOND_EXACT, _det_fraction, _log_of_fraction
+from dpplab.densities import LOG_UNDERFLOW, RCOND_EXACT, _det_fraction, _exact_ratio, _log_of_fraction
 from dpplab.errors import DomainError, DuplicatePoint, NoFiniteRange, ZeroDenominator
 from dpplab.experiments import _cpi_family_run
 from dpplab.geometry import Configuration, SampleBatch, Window
@@ -276,9 +276,10 @@ class TestCompoundIntensity:
         assert joint == pytest.approx(prod, rel=1e-9)
 
     def test_near_coincident_cluster_stays_monotone(self):
-        # three points within 3e-3 push the stacked matrix past float64
-        # slogdet (rcond ~ 1e-17); the exact-arithmetic route must still
-        # order the ratios correctly
+        # three points within 3e-3; under the former eigen-form kernel their
+        # block had rcond ~ 1e-17 and took the exact-rational route.  The
+        # Schur-form K keeps the kink of J, the block's rcond is 2.3e-4
+        # (above RCOND_EXACT), and float64 and exact arithmetic must agree
         fr_disc = discretize(FR, "K", self.window, 100)
         added = Configuration([(1.682901480186717,)])
         eta = Configuration(
@@ -298,7 +299,9 @@ class TestCompoundIntensity:
         c_xi = compound_intensity(FR, self.window, 100, added, xi, disc=fr_disc).value
         diag = float(interaction_values(fr_disc, added.coords)[0, 0])
         # reference value from 60-digit determinants of the same entries
-        assert c_eta == pytest.approx(0.725700980909, rel=1e-9)
+        assert c_eta == pytest.approx(0.751580448551, rel=1e-9)
+        block = interaction_values(fr_disc, np.concatenate([added.coords, eta.coords]))
+        assert _exact_ratio(block, len(eta)).value == pytest.approx(c_eta, rel=1e-12)
         assert c_xi >= c_eta - 1e-12
         assert c_eta <= diag + 1e-12
 

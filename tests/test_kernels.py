@@ -16,6 +16,7 @@ from dpplab.kernels import (
     eval_J,
     eval_K,
     renewal_closed_forms,
+    triangular_profile,
 )
 
 
@@ -123,6 +124,28 @@ class TestFiniteRangeFourier:
         assert eigs.min() >= -1e-10
         assert float(np.diag(mat).max()) < self.spec.amplitude
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_axis_by_axis_profile_matches_difference_tensor(self, dimension):
+        spec = FiniteRangeFourier(0.6, 0.7, dimension=dimension)
+        rng = np.random.default_rng(dimension)
+        X = rng.uniform(-1.0, 2.0, size=(37, dimension))
+        Y = rng.uniform(-1.0, 2.0, size=(23, dimension))
+        diff = X[:, None, :] - Y[None, :, :]
+        assert np.array_equal(spec.j_values(X, Y), spec.amplitude * triangular_profile(diff, spec.R))
+
+    def test_converges_against_a_dense_reference(self):
+        # Schur-form K at 40 points of [0, 6] against 256 context nodes per
+        # range: about second order in the node spacing (the eigen form it
+        # replaced was first order, 3.0e-2 at the default 16)
+        X = np.linspace(0.0, 6.0, 40)[:, None]
+        ref = FiniteRangeFourier(1.0, 0.8, context_nodes_per_range=256).k_values(X, X)
+        errors = [
+            np.abs(FiniteRangeFourier(1.0, 0.8, context_nodes_per_range=m).k_values(X, X) - ref).max()
+            for m in (4, 8, 16, 32)
+        ]
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[2] <= 1.2e-3
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterOutOfRange):
             FiniteRangeFourier(-1.0, 0.5)
@@ -149,3 +172,30 @@ class TestModulated:
         base = FiniteRangeFourier(1.0, 0.6, dimension=1)
         with pytest.raises(ParameterOutOfRange):
             Modulated(base, psi=lambda z: np.cos(z[:, 0]), support=Window.interval(0.0, 5.0))
+
+
+DIAGONAL_CASES = [
+    (RenewalExponential(0.25, 1.0), 1),
+    (FiniteRangeFourier(0.6, 0.7, dimension=2), 2),
+    (
+        Modulated(
+            FiniteRangeFourier(1.0, 0.6, dimension=1),
+            psi=lambda z: 1.0 + 0.5 * np.cos(z[:, 0]),
+            support=Window.interval(0.0, 5.0),
+        ),
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, dimension", DIAGONAL_CASES, ids=["renewal", "finite-range-2d", "modulated"])
+def test_diagonals_match_the_matrices(spec, dimension):
+    X = np.random.default_rng(8).uniform(0.0, 1.5, size=(25, dimension))
+    k_diag = spec.k_diagonal(X)
+    j_diag = spec.j_diagonal(X)
+    assert np.allclose(k_diag, np.diag(spec.k_values(X, X)), rtol=1e-12, atol=1e-15)
+    assert np.allclose(j_diag, np.diag(spec.j_values(X, X)), rtol=1e-12, atol=0.0)
+    # K(x, x) <= J(x, x), and both within the certified diagonal bounds
+    assert np.all(k_diag >= 0.0)
+    assert np.all(k_diag <= j_diag)
+    assert k_diag.max() <= spec.diagonal_bound()

@@ -1,5 +1,7 @@
 """Discretized operators: traces, spectral maps, determinants, orderings."""
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from dpplab.operators import (
     operator_trace,
     projection_inversion_gap,
     restrict_interaction,
+    _k_context,
 )
 from dpplab.quadrature import concatenate, tensor_gauss_legendre
 
@@ -184,12 +187,14 @@ class TestInteractionExtension:
 
 
 def _reference_interaction(disc, X, Y):
-    # K(X, Y) + S_X^T (I - M)^{-1} S_Y through a full Cholesky solve
+    # K(X, Y) + S_X^T (I - M)^{-1} S_Y through a full Cholesky solve, with K
+    # from the operator's own derived-K context (the kernel itself for renewal)
+    k = _k_context(disc)
     sw = disc.quad.sqrt_weights[:, None]
-    SX = disc.spec.k_values(disc.quad.nodes, X) * sw
-    SY = disc.spec.k_values(disc.quad.nodes, Y) * sw
+    SX = k.k_values(disc.quad.nodes, X) * sw
+    SY = k.k_values(disc.quad.nodes, Y) * sw
     cho = scipy.linalg.cho_factor(np.eye(disc.size) - disc.matrix, lower=True)
-    return disc.spec.k_values(X, Y) + SX.T @ scipy.linalg.cho_solve(cho, SY)
+    return k.k_values(X, Y) + SX.T @ scipy.linalg.cho_solve(cho, SY)
 
 
 def _assert_close(got, want):
@@ -214,7 +219,6 @@ class TestHalfSolveForm:
     @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES)
     def test_matches_full_solve_reference(self, spec, window, n):
         disc = discretize(spec, "K", window, n)
-        # inside the nodes' bounding box, so no derived-K context is rebuilt
         lo, hi = disc.quad.nodes.min(axis=0), disc.quad.nodes.max(axis=0)
         rng = np.random.default_rng(5)
         X = lo + (hi - lo) * rng.random((7, window.dimension))
@@ -234,13 +238,39 @@ class TestHalfSolveForm:
         for lo, hi, block in zip(offsets[:-1], offsets[1:], blocks):
             _assert_close(block, full[lo:hi, lo:hi])
 
-    def test_node_features_follow_a_context_rebuild(self):
+    def test_derived_values_ignore_query_order(self):
+        # bare k_values calls build throwaway contexts; an operator keeps its own
         spec = FiniteRangeFourier(1.0, 0.8, dimension=1)
-        disc = discretize(spec, "K", Window.interval(0.0, 6.0), 100)
-        X = np.array([[1.0], [3.0]])
-        interaction_values(disc, X)  # keeps the node features with the operator
-        spec.k_values(np.array([[-30.0]]), np.array([[-30.0]]))  # forces a wider context
-        assert np.array_equal(interaction_values(disc, X), _fresh_interaction(disc, X))
+        window = Window.interval(0.0, 6.0)
+        X = np.array([[1.0], [3.0], [3.2], [5.5]])
+        first = discretize(spec, "K", window, 100)
+        before = interaction_values(first, X), interaction_diagonal(first, X)
+        for x in (0.0, -30.0):
+            spec.k_values(np.array([[x]]), np.array([[x]]))
+        second = discretize(spec, "K", window, 100)
+        assert np.array_equal(second.matrix, first.matrix)
+        for disc in (first, second):
+            assert np.array_equal(interaction_values(disc, X), before[0])
+            assert np.array_equal(interaction_diagonal(disc, X), before[1])
+
+    def test_concurrent_first_uses_share_one_cache_fill(self):
+        spec = FiniteRangeFourier(1.0, 0.8, dimension=1)
+        built = discretize(spec, "K", Window.interval(0.0, 6.0), 100)
+        X = np.linspace(0.5, 5.5, 9)[:, None]
+        expected = interaction_values(built, X)
+        # an operator built directly fills its cache (context, node columns,
+        # factor) on first use; six threads race for it
+        fresh = DiscretizedOperator(built.quad, built.matrix, spec, "K")
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(interaction_values, fresh, X) for _ in range(6)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for got in results:
+            assert np.array_equal(got, expected)
 
     def test_fredholm_bits_ignore_call_order(self):
         w = Window.interval(0.0, 6.0)
@@ -249,12 +279,6 @@ class TestHalfSolveForm:
         second = discretize(SPEC, "K", w, 100)
         assert fredholm_det_I_minus(first) == fredholm_det_I_minus(second)
         assert np.array_equal(first.clipped_eigenvalues(), second.clipped_eigenvalues())
-
-
-def _fresh_interaction(disc, X):
-    # the same operator matrix with an empty cache: node features under the current context
-    fresh = DiscretizedOperator(disc.quad, disc.matrix, disc.spec, disc.kind)
-    return interaction_values(fresh, X)
 
 
 class TestProjectionInversion:
