@@ -1,6 +1,6 @@
 """Record alternating parent/change benchmark pairs in BENCH_<PR>.json.
 
-    python3 bench/record.py --pr 6 --parent HEAD~1 [--workloads spectra ratios draws]
+    python3 bench/record.py --pr N --parent HEAD~1 [--workloads spectra ratios draws]
         [--pairs 10] [--seconds 28] [--seed 100] [--parent-dir DIR]
 
 The change is this checkout; the parent is the commit `--parent`, checked
