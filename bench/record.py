@@ -1,11 +1,11 @@
 """Record alternating parent/change benchmark pairs in BENCH_<PR>.json.
 
-    python3 bench/record.py --pr N --parent HEAD~1 [--workloads spectra ratios draws]
-        [--pairs 10] [--seconds 28] [--seed 100] [--parent-dir DIR]
+    python3 bench/record.py --pr N --parent HEAD~1 [--seed 100]
 
 The change is this checkout; the parent is the commit `--parent`, checked
 out with `git worktree` into a temporary directory that is removed at
-exit (or an existing checkout given by `--parent-dir`).  Each pair runs
+exit.  The workloads and the run length are those of BENCHMARK.json
+(`workloads`, `run_seconds`).  Each of the PAIRS pairs runs
 `perfbench/run.py --workload W --seed S --seconds T` once in each tree at
 the same seed, pair i at seed `--seed` + i, and the order alternates:
 the parent runs first in even pairs and second in odd ones, so a slow
@@ -28,6 +28,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# pairs per workload: the fewest that can support a claimed gain (9 wins of 10)
+PAIRS = 10
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -49,13 +51,13 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(parent: Path, workloads, pairs: int, seconds: float, seed: int, log=print) -> dict:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+def record(spec: dict, parent: Path, seed: int, log=print) -> dict:
     trees = {"parent": parent, "change": ROOT}
+    seconds = spec["run_seconds"]
     out, machine = {}, None
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
-        for i in range(pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 result = run_once(trees[side], workload, seed + i, seconds)
@@ -82,7 +84,7 @@ def record(parent: Path, workloads, pairs: int, seconds: float, seed: int, log=p
                 "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
             }
         out[workload] = {
-            "seeds": [seed + i for i in range(pairs)],
+            "seeds": [seed + i for i in range(PAIRS)],
             "metrics": metrics,
             "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
             "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
@@ -100,30 +102,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<PR>.json")
     parser.add_argument("--parent", required=True, help="git revision of the parent commit")
-    parser.add_argument("--parent-dir", type=Path, help="an existing checkout of the parent")
-    parser.add_argument("--workloads", nargs="+", default=["spectra", "ratios", "draws"])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--seed", type=int, default=100)
     args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parent_rev = git("rev-parse", args.parent)
     header = {
         "parent": parent_rev,
         "change": git("rev-parse", "HEAD") + (" (with uncommitted changes)" if git("status", "--porcelain") else ""),
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T",
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "seconds": spec["run_seconds"],
+        "pairs": PAIRS,
     }
-    if args.parent_dir is not None:
-        body = record(args.parent_dir.resolve(), args.workloads, args.pairs, args.seconds, args.seed)
-    else:
-        with tempfile.TemporaryDirectory(prefix="dpplab-parent-") as tmp:
-            tree = Path(tmp) / "parent"
-            git("worktree", "add", "--detach", str(tree), parent_rev)
-            try:
-                body = record(tree, args.workloads, args.pairs, args.seconds, args.seed)
-            finally:
-                git("worktree", "remove", "--force", str(tree))
+    with tempfile.TemporaryDirectory(prefix="dpplab-parent-") as tmp:
+        tree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(tree), parent_rev)
+        try:
+            body = record(spec, tree, args.seed)
+        finally:
+            git("worktree", "remove", "--force", str(tree))
     target = ROOT / f"BENCH_{args.pr}.json"
     target.write_text(json.dumps({**header, **body}, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {target.name}")

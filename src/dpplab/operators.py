@@ -19,10 +19,12 @@ positive-semidefinite kernels, so every configuration matrix assembled
 this way is PSD and the determinant inequalities under test are exact
 matrix facts, independent of discretization error.
 
-For a derived-K family (`kernels.DerivedKernel`) the operator owns one
-immutable context on its window, and every K value made through it (the
-matrix, the columns s_x, the K(x, y) summand) comes from that context, so
-values depend on the operator alone and not on other queries.
+The operator owns one immutable K context, and every K value made
+through it (the matrix, the columns s_x, the K(x, y) summand) comes from
+that context, so values depend on the operator alone and not on other
+queries.  For a derived-K family (`kernels.DerivedKernel`) it is the
+family's context on the operator's window; a closed-form K is evaluated
+directly behind the same interface.
 
 The spectrum gate (top eigenvalue below `SPECTRUM_GATE`) and the
 determinant formulas read eigenvalues only (`eigvalsh`); eigenvectors
@@ -58,6 +60,8 @@ NEGATIVE_TOLERANCE = 1e-9
 # points whose resolvent columns are evaluated at a time: a long stack of
 # blocks never holds its kernel tables (or a derived-K context's columns) at once
 COLUMN_CHUNK = 512
+# an absent cache entry (a context with nothing to solve caches None)
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,8 @@ class DiscretizedOperator:
 
     def _cached(self, key: str, compute: Callable[[], object]):
         """The value of `key`, computed on first use; concurrent first uses share one object."""
-        value = self._cache.get(key)
-        if value is None:
+        value = self._cache.get(key, _MISSING)
+        if value is _MISSING:
             value = self._cache.setdefault(key, compute())
         return value
 
@@ -164,12 +168,9 @@ def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOper
     """
     held = {}
     if which == "K":
-        held["context"] = ctx = _k_evaluator(spec, quad)
-        if ctx is spec:
-            values = spec.k_values(quad.nodes, quad.nodes)
-        else:
-            held["node_half_solve"] = T = ctx.half_solve(quad.nodes)
-            values = ctx.k_values(quad.nodes, quad.nodes, T, T)
+        held["context"] = ctx = _new_k_context(spec, quad)
+        held["node_half_solve"] = T = ctx.half_solve(quad.nodes)
+        values = ctx.k_values(quad.nodes, quad.nodes, T, T)
         kind = "K"
     elif which == "J":
         if not spec.has_closed_form_J:
@@ -184,10 +185,28 @@ def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOper
     return op
 
 
-def _k_evaluator(spec: Kernel, quad: Quadrature):
-    """What evaluates K on a rule: a new derived-K context covering it, or the kernel itself."""
+class _ClosedFormK:
+    """The context interface for a kernel whose K is closed-form: nothing to solve."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: Kernel):
+        self.spec = spec
+
+    def half_solve(self, X: np.ndarray) -> None:
+        return None
+
+    def k_values(self, X: np.ndarray, Y: np.ndarray, TX=None, TY=None) -> np.ndarray:
+        return self.spec.k_values(X, Y)
+
+    def k_diagonal(self, X: np.ndarray, TX=None) -> np.ndarray:
+        return self.spec.k_diagonal(X)
+
+
+def _new_k_context(spec: Kernel, quad: Quadrature):
+    """What evaluates K on a rule: a new derived-K context covering it, or the closed form."""
     if not isinstance(spec, DerivedKernel):
-        return spec
+        return _ClosedFormK(spec)
     return spec.attach_context(quad.window if quad.window is not None else spec.bounding_window(quad.nodes))
 
 
@@ -296,20 +315,20 @@ def _resolvent_factor(op: DiscretizedOperator) -> np.ndarray:
 
 
 def _k_context(op: DiscretizedOperator):
-    """The operator's `_k_evaluator`: `discretize_on` keeps the one its matrix
+    """The operator's K context: `discretize_on` keeps the one its matrix
     came from, and an operator built directly makes its own on first use."""
-    return op._cached("context", lambda: _k_evaluator(op.spec, op.quad))
+    return op._cached("context", lambda: _new_k_context(op.spec, op.quad))
 
 
 def _half_solve(op: DiscretizedOperator, X: np.ndarray) -> np.ndarray:
     """T = L^{-1} S_X with S_X[i, p] = sqrt(w_i) K(z_i, x_p): one column per point."""
     factor = _resolvent_factor(op)
     ctx, nodes = _k_context(op), op.quad.nodes
-    # a derived-K context's columns of the nodes are kept with the operator
-    held = () if ctx is op.spec else (op._cached("node_half_solve", lambda: ctx.half_solve(nodes)),)
+    # the context's columns of the nodes are kept with the operator
+    T_nodes = op._cached("node_half_solve", lambda: ctx.half_solve(nodes))
     S = np.empty((op.size, X.shape[0]), order="F")  # the layout the solve works in
     for lo in range(0, X.shape[0], COLUMN_CHUNK):
-        cols = ctx.k_values(nodes, X[lo:lo + COLUMN_CHUNK], *held)
+        cols = ctx.k_values(nodes, X[lo:lo + COLUMN_CHUNK], T_nodes)
         S[:, lo:lo + COLUMN_CHUNK] = cols * op.quad.sqrt_weights[:, None]
     return scipy.linalg.solve_triangular(factor, S, lower=True, check_finite=False, overwrite_b=True)
 

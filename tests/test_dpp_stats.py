@@ -305,6 +305,24 @@ class TestCompoundIntensity:
         assert c_xi >= c_eta - 1e-12
         assert c_eta <= diag + 1e-12
 
+    def test_tight_cluster_takes_the_exact_route(self):
+        # three points 1e-5 apart: the block's rcond falls below RCOND_EXACT,
+        # so the ratios come from exact rational determinants and keep their order
+        fr_disc = discretize(FR, "K", self.window, 100)
+        added = Configuration([(1.682901480186717,)])
+        cluster = [(0.8654101828302503 + h,) for h in (0.0, 1e-5, 2e-5)]
+        eta = Configuration([(0.8021827446720384,), *cluster, (2.621641411449126,), (4.717198611239356,)])
+        xi = Configuration([(0.8021827446720384,), cluster[0], cluster[2]])
+        block = interaction_values(fr_disc, np.concatenate([added.coords, eta.coords]))
+        spectrum = np.linalg.eigvalsh(block)
+        assert spectrum[0] < RCOND_EXACT * spectrum[-1]
+        c_eta = compound_intensity(FR, self.window, 100, added, eta, disc=fr_disc).value
+        c_xi = compound_intensity(FR, self.window, 100, added, xi, disc=fr_disc).value
+        diag = float(interaction_values(fr_disc, added.coords)[0, 0])
+        assert c_eta == _exact_ratio(block, len(eta)).value
+        assert c_xi >= c_eta
+        assert c_eta <= diag
+
     @pytest.mark.parametrize("seed", [309006, 35002])
     def test_finite_range_family_monotone_at_logged_seeds(self, seed):
         # these runs of cpi-monotonicity once failed at one BLAS thread (margins

@@ -188,7 +188,7 @@ class TestInteractionExtension:
 
 def _reference_interaction(disc, X, Y):
     # K(X, Y) + S_X^T (I - M)^{-1} S_Y through a full Cholesky solve, with K
-    # from the operator's own derived-K context (the kernel itself for renewal)
+    # from the operator's own K context (a derived-K context, or the closed form)
     k = _k_context(disc)
     sw = disc.quad.sqrt_weights[:, None]
     SX = k.k_values(disc.quad.nodes, X) * sw
