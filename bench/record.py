@@ -2,9 +2,10 @@
 
     python3 bench/record.py --pr N --parent HEAD~1 [--seed 100]
 
-The change is this checkout; the parent is the commit `--parent`, checked
-out with `git worktree` into a temporary directory that is removed at
-exit.  The workloads and the run length are those of BENCHMARK.json
+The change is this checkout; the parent is the commit `--parent`,
+exported with `git archive` into a temporary directory (under $TMPDIR)
+that is removed at exit, so an interrupted run leaves no git state
+behind.  The workloads and the run length are those of BENCHMARK.json
 (`workloads`, `run_seconds`).  Each of the PAIRS pairs runs
 `perfbench/run.py --workload W --seed S --seconds T` once in each tree at
 the same seed, pair i at seed `--seed` + i, and the order alternates:
@@ -20,10 +21,12 @@ that perfbench prints (core count, BLAS, Python and numpy versions).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -115,11 +118,11 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="dpplab-parent-") as tmp:
         tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(tree), parent_rev)
-        try:
-            body = record(spec, tree, args.seed)
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        archive = subprocess.run(["git", "archive", "--format=tar", parent_rev], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        body = record(spec, tree, args.seed)
     target = ROOT / f"BENCH_{args.pr}.json"
     target.write_text(json.dumps({**header, **body}, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {target.name}")

@@ -7,6 +7,8 @@ A config file has an [experiment] section naming the experiment, an
 optional [kernel] section, and an optional [params] section; see
 docs/config-schema.md.  Exit codes: 0 when every check passes, 1 when a
 check fails, 2 for configuration errors, 3 for numerical failures.
+`--threads` is accepted for compatibility and ignored: every run is
+sequential, and its outputs depend only on the config and the seed.
 """
 from __future__ import annotations
 
@@ -68,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the INI configuration")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="output directory (default runs/<name>)")
-    run.add_argument("--threads", type=int, default=1, help="worker threads")
+    run.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; ignored"
+    )
     run.add_argument("--verbose", action="store_true", help="print every check line")
     sub.add_parser("list-experiments", help="list experiment names and summaries")
     return parser
@@ -89,7 +93,6 @@ def main(argv=None) -> int:
             kernel_cfg,
             params_cfg,
             seed=seed,
-            threads=max(1, args.threads),
             out_dir=out_dir,
         )
         experiments.write_outputs(result, out_dir)

@@ -4,12 +4,11 @@ Each experiment validates one cluster of determinantal-process facts at a
 configurable scale: it draws randomness from counter-based streams keyed
 by the run seed, fills a numeric table, and evaluates a short list of
 assertion checks.  For a fixed configuration and seed the table is
-byte-identical across runs and thread counts.
+byte-identical across runs.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -152,24 +151,6 @@ def _subseed(seed: int, salt: int) -> int:
     return (seed * 1_000_003 + salt) & ((1 << 63) - 1)
 
 
-def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 1
-    base, extra = divmod(total, parts)
-    out, start = [], 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        out.append((start, start + size))
-        start += size
-    return out
-
-
-def _parallel(jobs: Sequence, fn: Callable, threads: int) -> list:
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
-
-
 # ---------------------------------------------------------------------------
 # results
 
@@ -269,16 +250,13 @@ def run_experiment(
     kernel_cfg: dict | None = None,
     params_cfg: dict | None = None,
     seed: int = 0,
-    threads: int = 1,
     out_dir=None,
 ) -> ExperimentResult:
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown experiment {name!r}; available: {known}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     p = Params(name, params_cfg)
-    return REGISTRY[name].runner(kernel_cfg, p, int(seed), int(threads), out_dir)
+    return REGISTRY[name].runner(kernel_cfg, p, int(seed), out_dir)
 
 
 def _downsample(values: np.ndarray, limit: int = 400) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +278,7 @@ def _downsample(values: np.ndarray, limit: int = 400) -> tuple[np.ndarray, np.nd
     "det A <= det A[aa] det A[bb]; det A det A[bb] <= det A[ab,ab] det A[bc,bc]; "
     "det A / det A[bb] = det of the bordered-ratio matrix; P T^-1 P >= P (P T P)^-1 P",
 )
-def _run_matrix_suite(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_matrix_suite(kernel_cfg, p: Params, seed, out_dir):
     _no_kernel(kernel_cfg, "matrix-ineq-suite")
     trials = p.get_int("trials", 20000, minimum=7)
     proj_trials = p.get_int("projection_trials", max(trials // 10, 700), minimum=7)
@@ -349,7 +327,7 @@ def _run_matrix_suite(kernel_cfg, p: Params, seed, threads, out_dir):
 
 
 def _cpi_family_run(spec: Kernel, window: Window, n: int, instances: int, seed: int,
-                    salt: int, max_points: int, threads: int):
+                    salt: int, max_points: int):
     """Monotonicity and diagonal-bound margins of one family, one entry per instance.
 
     An instance is a point a, a configuration eta of m points and xi, a
@@ -375,10 +353,7 @@ def _cpi_family_run(spec: Kernel, window: Window, n: int, instances: int, seed: 
         keep = rng.random(m) < 0.5
         return pts, np.concatenate([[0], 1 + np.flatnonzero(keep)])
 
-    chunks = _parallel(
-        _split_ranges(instances, threads * 8), lambda r: [draw(i) for i in range(*r)], threads
-    )
-    drawn = [item for chunk in chunks for item in chunk]
+    drawn = [draw(i) for i in range(instances)]
     offsets = np.cumsum([0] + [len(pts) for pts, _ in drawn])
     full = interaction_values(disc, np.concatenate([pts for pts, _ in drawn]), blocks=offsets)
     blocks, tails = [], []
@@ -410,7 +385,7 @@ def _zero_violations(name: str, margins: np.ndarray, tol: float) -> Check:
     "local compound intensities shrink under conditioning and respect the diagonal bound",
     "for xi subset eta: c(a | xi) >= c(a | eta); c(a | xi) <= J_[window](a, a)",
 )
-def _run_cpi_monotonicity(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_cpi_monotonicity(kernel_cfg, p: Params, seed, out_dir):
     _no_kernel(kernel_cfg, "cpi-monotonicity")
     instances = p.get_int("instances", 400, minimum=1)
     tol = p.get_float("tolerance", 1e-9, positive=True)
@@ -436,9 +411,7 @@ def _run_cpi_monotonicity(kernel_cfg, p: Params, seed, threads, out_dir):
     checks, rows = [], []
     series = []
     for label, spec, window, n, salt in cases:
-        mono, bound = _cpi_family_run(
-            spec, window, n, instances, seed, salt, max_points, threads
-        )
+        mono, bound = _cpi_family_run(spec, window, n, instances, seed, salt, max_points)
         checks.append(_zero_violations(f"{label}: monotone under conditioning", mono, tol))
         checks.append(_zero_violations(f"{label}: diagonal bound", bound, tol))
         rows.append([
@@ -481,7 +454,7 @@ def _run_cpi_monotonicity(kernel_cfg, p: Params, seed, threads, out_dir):
     "truncated Janossy-integral sums reach 1 on a unit interval and a unit square",
     "sum_m (1/m!) int det(I - K) det J_[window](x_1..x_m) dx = 1",
 )
-def _run_janossy(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_janossy(kernel_cfg, p: Params, seed, out_dir):
     _no_kernel(kernel_cfg, "janossy-normalization")
     tol = p.get_float("tolerance", 1e-5, positive=True)
     term_tol = p.get_float("term_tolerance", 1e-8, positive=True)
@@ -558,28 +531,6 @@ def _run_janossy(kernel_cfg, p: Params, seed, threads, out_dir):
 # 4. sampler validation
 
 
-def _sample_spectral_parallel(spec, window, n, count, seed, threads, disc=None) -> SampleBatch:
-    disc = disc or discretize(spec, "K", window, n)
-    disc.spectral()  # warm the cache before fanning out
-    def job(r):
-        return sample_dpp_spectral(
-            spec, window, n, r[1] - r[0], seed, disc=disc, index_offset=r[0]
-        )
-
-    batches = _parallel(_split_ranges(count, threads * 4), job, threads)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([b.counts() for b in batches]), out=offsets[1:])
-    return SampleBatch(
-        window=window,
-        coords=np.concatenate([b.coords for b in batches]),
-        offsets=offsets,
-        seed=seed,
-        method="dpp-spectral",
-        params={"n": n, "count": count},
-        metadata=dict(batches[0].metadata),
-    )
-
-
 def _two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray, min_expected: float = 5.0):
     """Two-sample chi-square on count histograms, merging sparse bins."""
     hi = int(max(counts_a.max(initial=0), counts_b.max(initial=0)))
@@ -616,7 +567,7 @@ def _two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray, min_expected: f
     "birth-death agrees with it in distribution",
     "E N = tr K; E ordered close pairs = sum (K_ii K_jj - K_ij^2); P(N=0) = det(I - K)",
 )
-def _run_sampler_validation(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_sampler_validation(kernel_cfg, p: Params, seed, out_dir):
     spec = build_kernel(kernel_cfg)
     if spec.dimension != 1:
         raise ConfigError("sampler-validation: use a one-dimensional kernel")
@@ -641,7 +592,7 @@ def _run_sampler_validation(kernel_cfg, p: Params, seed, threads, out_dir):
     pair_matrix = np.outer(np.diag(M), np.diag(M)) - M * M
     expected_pairs = float(pair_matrix[close].sum()) / 2.0
 
-    batch = _sample_spectral_parallel(spec, window, n, m_spectral, _subseed(seed, 1), threads, disc)
+    batch = sample_dpp_spectral(spec, window, n, m_spectral, _subseed(seed, 1), disc=disc)
     counts = batch.counts()
     near = percolation.close_pairs(batch, pair_r)
     pairs = np.bincount(batch.sample_ids()[near[:, 0]], minlength=len(batch))
@@ -661,9 +612,7 @@ def _run_sampler_validation(kernel_cfg, p: Params, seed, threads, out_dir):
     c2, z2 = zcheck(f"pair counts within r={pair_r:g}", pairs, expected_pairs)
     c3, z3 = zcheck("vacuum frequency", empty, vacuum)
 
-    bd = sample_dpp_birth_death(
-        spec, window, n, m_bd, _subseed(seed, 2), disc=disc, threads=threads
-    )
+    bd = sample_dpp_birth_death(spec, window, n, m_bd, _subseed(seed, 2), disc=disc)
     stat, dof, pval = _two_sample_chi2(counts, bd.counts())
     c4 = Check(
         name="birth-death vs spectral count law",
@@ -708,7 +657,7 @@ def _run_sampler_validation(kernel_cfg, p: Params, seed, threads, out_dir):
     "as its rate, for increasing statistics",
     "mu <= Poisson(z) with z(x) = J(x, x): every increasing statistic has smaller mean",
 )
-def _run_domination(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_domination(kernel_cfg, p: Params, seed, out_dir):
     _no_kernel(kernel_cfg, "domination")
     count = p.get_int("samples", 3000, minimum=100)
     z_limit = p.get_float("z_limit", 3.0, positive=True)
@@ -733,7 +682,7 @@ def _run_domination(kernel_cfg, p: Params, seed, threads, out_dir):
     checks, rows, series = [], [], []
     for idx, (label, spec, window, n, salt) in enumerate(cases):
         zdiag = spec.interaction_diagonal
-        dpp = _sample_spectral_parallel(spec, window, n, count, _subseed(seed, salt), threads)
+        dpp = sample_dpp_spectral(spec, window, n, count, _subseed(seed, salt))
         poi = sample_poisson(zdiag, zdiag, window, count, _subseed(seed, salt + 10))
         report = domination_test(dpp, poi, z_threshold=z_limit)
         for comp in report.comparisons:
@@ -787,7 +736,7 @@ def _run_domination(kernel_cfg, p: Params, seed, threads, out_dir):
     "definite sign, and Monte Carlo joint-vacuum frequencies match determinants",
     "det(I - K on union) <= det(I - K on A) det(I - K on B) for disjoint A, B",
 )
-def _run_vacuum_correlation(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_vacuum_correlation(kernel_cfg, p: Params, seed, out_dir):
     spec = build_kernel(kernel_cfg)
     if spec.dimension != 1:
         raise ConfigError("vacuum-correlation: use a one-dimensional kernel")
@@ -842,9 +791,7 @@ def _run_vacuum_correlation(kernel_cfg, p: Params, seed, threads, out_dir):
     if mc_samples:
         domain = Window.interval(0.0, domain_len)
         disc = discretize(spec, "K", domain, mc_nodes)
-        batch = _sample_spectral_parallel(
-            spec, domain, mc_nodes, mc_samples, _subseed(seed, 2), threads, disc
-        )
+        batch = sample_dpp_spectral(spec, domain, mc_nodes, mc_samples, _subseed(seed, 2), disc=disc)
         nodes = disc.quad.nodes[:, 0]
         for j, (wa, wb) in enumerate(geometry[: min(3, len(geometry))]):
             in_u = ((nodes >= wa.lower[0]) & (nodes <= wa.upper[0])) | (
@@ -897,7 +844,7 @@ def _run_vacuum_correlation(kernel_cfg, p: Params, seed, threads, out_dir):
     "and the candidate sequence is monotone",
     "c_window(a | xi) -> d(l) d(r) / d(l + r); det-ratio candidates are non-increasing in the window",
 )
-def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_cpi_limit(kernel_cfg, p: Params, seed, out_dir):
     spec = build_kernel(kernel_cfg)
     if not isinstance(spec, RenewalExponential):
         raise ConfigError("cpi-limit: needs the renewal family (closed-form limit)")
@@ -944,22 +891,19 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
         route_err = abs(cand[-1] - closed) / max(1.0, abs(closed))
         return added.coords, xi.coords, closed, mono_worst, route_err
 
-    jobs = _split_ranges(instances, threads * 4)
-    chunks = _parallel(jobs, lambda r: [one(i) for i in range(r[0], r[1])], threads)
-    flat = [item for chunk in chunks for item in chunk]
+    flat = [one(i) for i in range(instances)]
     added = SampleBatch.from_samples(domain, [f[0] for f in flat], seed=seed, method="uniform")
     closed = np.array([f[2] for f in flat])
     monos = np.array([f[3] for f in flat])
     routes = np.array([f[4] for f in flat])
 
-    def window_intensities(k: int) -> list[float]:
+    def window_intensities(w: Window, n: int, d) -> list[float]:
         # c_window(a | xi in window) of every instance, from one stack per window
-        w, n, d = discs[k]
         inside = [f[1][w.contains(f[1])] for f in flat]
         given = SampleBatch.from_samples(w, inside, seed=seed, method="renewal")
         return [r.value for r in compound_intensity(spec, w, n, added, given, disc=d)]
 
-    local = np.array(_parallel(range(len(discs)), window_intensities, threads)).T
+    local = np.array([window_intensities(w, n, d) for w, n, d in discs]).T
     per_window_err = np.abs(local - closed[:, None])
     errs = per_window_err[:, -1]
 
@@ -1016,7 +960,7 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, threads, out_dir):
     "its cluster factorization over the connected hull",
     "det J(a xi)/det J(xi) = same ratio restricted to clusters of a under the range graph",
 )
-def _run_cluster_formula(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_cluster_formula(kernel_cfg, p: Params, seed, out_dir):
     spec = build_kernel(kernel_cfg, defaults={"family": "finite-range"})
     if not math.isfinite(spec.declared_range):
         raise ConfigError("cluster-formula: needs a finite-range kernel family")
@@ -1059,9 +1003,7 @@ def _run_cluster_formula(kernel_cfg, p: Params, seed, threads, out_dir):
         err = abs(cand[-1] - cluster) / max(1.0, abs(cand[-1]))
         return err, mono_worst, len(given), cluster, float(cand[-1])
 
-    jobs = _split_ranges(instances, threads * 4)
-    chunks = _parallel(jobs, lambda r: [one(i) for i in range(r[0], r[1])], threads)
-    flat = [item for chunk in chunks for item in chunk]
+    flat = [one(i) for i in range(instances)]
     errs = np.array([f[0] for f in flat])
     monos = np.array([f[1] for f in flat])
     checks = [
@@ -1103,7 +1045,7 @@ def _run_cluster_formula(kernel_cfg, p: Params, seed, threads, out_dir):
     "determinants factor over gaps",
     "spacing density f(s) = e^{-as} d(s); det J(alpha) = u(x_1) v(x_n) prod d(gap_i)",
 )
-def _run_renewal_equivalence(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_renewal_equivalence(kernel_cfg, p: Params, seed, out_dir):
     spec = build_kernel(kernel_cfg)
     if not isinstance(spec, RenewalExponential):
         raise ConfigError("renewal-equivalence: needs the renewal family")
@@ -1130,9 +1072,7 @@ def _run_renewal_equivalence(kernel_cfg, p: Params, seed, threads, out_dir):
         product = renewal.log_det_factorized(forms, cfg)
         return abs(direct - product) / max(1.0, abs(product))
 
-    jobs = _split_ranges(configs, threads * 4)
-    chunks = _parallel(jobs, lambda r: [one(i) for i in range(r[0], r[1])], threads)
-    errs = np.array([e for chunk in chunks for e in chunk])
+    errs = np.array([one(i) for i in range(configs)])
 
     checks = [
         Check(
@@ -1178,7 +1118,7 @@ def _run_renewal_equivalence(kernel_cfg, p: Params, seed, threads, out_dir):
     "process and decays with window length on the line",
     "spanning is an increasing event: P_DPP(span) <= P_Poisson(span) at z(x) = J(x, x)",
 )
-def _run_percolation_curve(kernel_cfg, p: Params, seed, threads, out_dir):
+def _run_percolation_curve(kernel_cfg, p: Params, seed, out_dir):
     spec = build_kernel(kernel_cfg, defaults={"rho": "0.45", "a": "1.0"})
     if spec.dimension != 1:
         raise ConfigError("percolation-curve: use a one-dimensional kernel")
@@ -1197,7 +1137,7 @@ def _run_percolation_curve(kernel_cfg, p: Params, seed, threads, out_dir):
     for k, length in enumerate(lengths):
         window = Window.interval(0.0, length)
         n = max(24, int(math.ceil(nodes_per_unit * length)))
-        dpp = _sample_spectral_parallel(spec, window, n, reps, _subseed(seed, 20 + k), threads)
+        dpp = sample_dpp_spectral(spec, window, n, reps, _subseed(seed, 20 + k))
         poi = sample_poisson(zdiag, zdiag, window, reps, _subseed(seed, 40 + k))
         span_d = percolation.spanning(dpp, window, radius).astype(float)
         span_p = percolation.spanning(poi, window, radius).astype(float)

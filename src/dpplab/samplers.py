@@ -207,7 +207,6 @@ def sample_dpp_birth_death(
     chains: int = 8,
     panels: int | None = None,
     disc: DiscretizedOperator | None = None,
-    threads: int = 1,
 ) -> SampleBatch:
     """Spatial birth-death chain with the local compound intensity.
 
@@ -217,7 +216,8 @@ def sample_dpp_birth_death(
     rate 1.  The acceptance ratio c(x, xi) / J(x, x) must stay in [0, 1]
     (hard assertion).  Time is measured in death-rate units; defaults for
     `burn_in` and `thinning` convert the usual event-count heuristics
-    (20x and 5x the expected population).
+    (20x and 5x the expected population).  The `chains` chains run in
+    turn, chain c on its own stream `stream(seed, c)`.
     """
     disc = disc or discretize(spec, "K", window, n, panels=panels)
     jmax = interaction_diagonal_bound(disc)
@@ -229,24 +229,15 @@ def sample_dpp_birth_death(
     if thinning is None:
         thinning = 5.0 * max(expected, 1.0) / event_rate
     chains = max(1, min(chains, count))
-    per_chain = [count // chains + (1 if c < count % chains else 0) for c in range(chains)]
-
-    def one_chain(chain_idx: int) -> list[np.ndarray]:
-        rng = stream(seed, chain_idx)
-        return _run_birth_death_chain(
-            disc, window, rng, per_chain[chain_idx], burn_in, thinning, jmax, birth_rate
+    samples = []
+    for c in range(chains):
+        wanted = count // chains + (1 if c < count % chains else 0)
+        samples += _run_birth_death_chain(
+            disc, window, stream(seed, c), wanted, burn_in, thinning, jmax, birth_rate
         )
-
-    if threads > 1 and chains > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, chains)) as pool:
-            by_chain = list(pool.map(one_chain, range(chains)))
-    else:
-        by_chain = [one_chain(c) for c in range(chains)]
     return SampleBatch.from_samples(
         window,
-        [sample for chain in by_chain for sample in chain],
+        samples,
         seed=seed,
         method="dpp-birth-death",
         params={
@@ -456,19 +447,26 @@ def save_batch(batch: SampleBatch, prefix) -> tuple[str, str]:
 
 
 def load_batch(prefix) -> SampleBatch:
+    """Read a batch written by `save_batch`; a malformed file raises DomainError."""
     import configparser
 
     prefix = str(prefix)
     parser = configparser.ConfigParser()
     with open(prefix + ".meta", "r", encoding="utf-8") as fh:
-        parser.read_string(fh.read())
-    sec = parser["batch"]
-    d = sec.getint("dimension")
-    count = sec.getint("count")
-    window = Window(
-        tuple(float(v) for v in sec["window_lower"].split(",")),
-        tuple(float(v) for v in sec["window_upper"].split(",")),
-    )
+        text = fh.read()
+    try:
+        parser.read_string(text)
+        sec = parser["batch"]
+        d = sec.getint("dimension")
+        count = sec.getint("count")
+        seed = sec.getint("seed")
+        method = sec["method"]
+        window = Window(
+            tuple(float(v) for v in sec["window_lower"].split(",")),
+            tuple(float(v) for v in sec["window_upper"].split(",")),
+        )
+    except (configparser.Error, KeyError, ValueError) as exc:
+        raise DomainError(f"malformed batch metadata {prefix}.meta: {exc!r}") from None
     with open(prefix + ".csv", "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         body = fh.read()
@@ -491,8 +489,8 @@ def load_batch(prefix) -> SampleBatch:
         window=window,
         coords=table[order, 1:],
         offsets=np.searchsorted(ids[order], np.arange(count + 1)),
-        seed=sec.getint("seed"),
-        method=sec["method"],
+        seed=seed,
+        method=method,
         params=params,
         metadata=metadata,
     )

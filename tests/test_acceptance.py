@@ -16,9 +16,7 @@ pytestmark = pytest.mark.acceptance
 
 
 def _drive(capsys, tag, name, params=None, kernel=None, seed=0):
-    result = experiments.run_experiment(
-        name, kernel_cfg=kernel, params_cfg=params, seed=seed, threads=1
-    )
+    result = experiments.run_experiment(name, kernel_cfg=kernel, params_cfg=params, seed=seed)
     verdict = "PASS" if result.passed else "FAIL"
     with capsys.disabled():
         print(f"\n[acceptance {tag}] {name}: {verdict}")

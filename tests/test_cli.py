@@ -32,7 +32,7 @@ class TestRun:
         [
             ("cpi-monotonicity", "instances = 40"),
             ("cpi-limit", "instances = 12"),
-            # 16 spectral chunks at 4 threads: every sampler stack is composed differently
+            # reruns the birth-death chains as well as the spectral sampler
             ("sampler-validation", "spectral_samples = 600\nbirth_death_samples = 60"),
             ("domination", "samples = 400"),
         ],
@@ -42,6 +42,7 @@ class TestRun:
         cfg = write(tmp_path, f"[experiment]\nname = {name}\nseed = 3\n\n[params]\n{params}\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", cfg, "--out", str(out_a)]) == 0
+        # --threads is accepted for compatibility and changes nothing
         assert main(["run", cfg, "--out", str(out_b), "--threads", "4"]) == 0
         for output in ("results.csv", "summary.txt"):
             assert (out_a / output).read_bytes() == (out_b / output).read_bytes()

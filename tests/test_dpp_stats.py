@@ -332,7 +332,7 @@ class TestCompoundIntensity:
         # the finite-range family of docs/examples/cpi-monotonicity.ini
         mono, bound = _cpi_family_run(
             spec, Window.interval(0.0, 6.0), n=100, instances=150, seed=seed, salt=2,
-            max_points=8, threads=1,
+            max_points=8,
         )
         assert mono.min() >= -1e-9
         assert bound.min() >= -1e-9

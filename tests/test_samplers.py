@@ -222,11 +222,6 @@ class TestChainRule:
 
 
 class TestBirthDeath:
-    def test_threads_do_not_change_the_law(self):
-        a = sample_dpp_birth_death(SPEC, WINDOW, 64, 64, seed=10, threads=1)
-        b = sample_dpp_birth_death(SPEC, WINDOW, 64, 64, seed=10, threads=4)
-        assert a.configurations == b.configurations
-
     def test_mean_count_close_to_trace(self):
         disc = discretize(SPEC, "K", WINDOW, 64)
         batch = sample_dpp_birth_death(SPEC, WINDOW, 64, 600, seed=11, disc=disc)
@@ -324,6 +319,30 @@ class TestPersistence:
         save_batch(batch, tmp_path / "b")
         with open(tmp_path / "b.csv", "a", encoding="utf-8") as fh:
             fh.write(row + "\n")
+        with pytest.raises(DomainError):
+            load_batch(tmp_path / "b")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[batch]", "[other]"),
+            ("count = 5", "count = five"),
+            ("seed = 16", "seed = 1.5"),
+            ("dimension = 1", "dimension = one"),
+            ("[batch]\n", ""),
+            ("window_lower = 0.0", "window_lower = zero"),
+            ("method = dpp-spectral\n", ""),
+        ],
+        ids=["no-batch-section", "count", "seed", "dimension", "not-ini", "window", "no-method"],
+    )
+    def test_malformed_meta_rejected(self, tmp_path, old, new):
+        batch = sample_dpp_spectral(SPEC, WINDOW, 64, 5, seed=16)
+        _, meta_path = save_batch(batch, tmp_path / "b")
+        with open(meta_path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert old in text
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new))
         with pytest.raises(DomainError):
             load_batch(tmp_path / "b")
 
