@@ -31,7 +31,7 @@ N = 16
 @pytest.fixture(scope="module")
 def context():
     ctx = SPEC.attach_context(WINDOW)
-    assert ctx.quad.size == 2116
+    assert ctx.levels[0].rule.size == 2116
     return ctx
 
 
@@ -42,7 +42,7 @@ def test_context_build(benchmark):
 def test_k_values_of_operator_nodes(benchmark, context):
     nodes = tensor_gauss_legendre(WINDOW, N).nodes
     benchmark.extra_info["pairs"] = len(nodes) ** 2
-    benchmark(context.k_values, nodes, nodes)
+    benchmark(context.values, nodes, nodes)
 
 
 def test_discretize(benchmark):

@@ -4,17 +4,19 @@
 
 Not collected by the test suite (`testpaths` is `tests`).  The operator is
 the largest window of `cpi-limit`: renewal(rho=0.25, a=1) on a 20-unit
-interval with n = 1120 nodes in 20 panels.  Each benchmark warms the
-operator's caches first, so it times steady-state queries only, except
-`test_gate`, which times the eigenvalue-only spectrum gate of a fresh
-operator.
+interval with n = 1120 nodes in 20 panels.  `test_finite_range_stack` has
+the shape of `cpi-monotonicity` instead: FiniteRangeFourier(1, 0.8) on
+[0, 6] with n = 100, a derived-K operator whose queries solve two levels
+of columns.  Each benchmark warms the operator's caches first, so it
+times steady-state queries only, except `test_gate`, which times the
+eigenvalue-only spectrum gate of a fresh operator.
 """
 import numpy as np
 import pytest
 
 from dpplab.densities import determinant_ratios
 from dpplab.geometry import Window
-from dpplab.kernels import RenewalExponential
+from dpplab.kernels import FiniteRangeFourier, RenewalExponential
 from dpplab.operators import DiscretizedOperator, _gate, discretize, interaction_values
 
 SPEC = RenewalExponential(0.25, 1.0)
@@ -43,6 +45,15 @@ def test_interaction_values_600_point_stack(benchmark, disc):
     X = _points(600)
     offsets = np.arange(0, 601, 6)
     benchmark(interaction_values, disc, X, blocks=offsets)
+
+
+def test_finite_range_stack(benchmark):
+    # 400 blocks of 6 points, as in a cpi-monotonicity stack
+    op = discretize(FiniteRangeFourier(1.0, 0.8), "K", Window.interval(0.0, 6.0), 100)
+    X = 6.0 * np.random.default_rng(3).random((2400, 1))
+    offsets = np.arange(0, 2401, 6)
+    interaction_values(op, X[:6])  # gate and factor
+    benchmark(interaction_values, op, X, blocks=offsets)
 
 
 def test_gate(benchmark, disc):

@@ -12,7 +12,10 @@ Three families:
 For the last two K is derived from J = K (I - K)^{-1}:
 K = J (I + J)^{-1} = J - J (I + J)^{-1} J.  A context on a padded window
 evaluates this identity in half-solve form, K(x, y) = J(x, y) - t_x . t_y,
-with one Cholesky factor of I + J on its rule (`_DerivedCorrelation`).
+with one Cholesky factor of I + J on its rule.  `HalfSolveKernel` is that
+one construction: a closed form plus Schur-complement levels.  The
+context is J with one level of sign -1, and `operators` adds a level of
+sign +1 on an operator's K for the local interaction J_[Lambda].
 
 All kernel values here are real and symmetric in (x, y).
 """
@@ -20,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NumericalBreakdown, ParameterOutOfRange
 from .geometry import Window, as_point
-from .quadrature import tensor_gauss_legendre
+from .quadrature import Quadrature, tensor_gauss_legendre
 
 
 def _coerce(X) -> np.ndarray:
@@ -193,58 +196,100 @@ class RenewalExponential(Kernel):
 
 
 # ---------------------------------------------------------------------------
-# derived-correlation machinery shared by the J-primitive families
+# half-solve kernels: a closed form plus Schur-complement levels
 
 
-class _DerivedCorrelation:
-    """K = J - J (I + J)^{-1} J in half-solve form on one padded-window rule.
+class HalfSolveLevel(NamedTuple):
+    """One Schur-complement level over a quadrature rule (see `HalfSolveKernel`)."""
 
-    With the rule's nodes z_i and weights w_i, M_J[i, j] = sqrt(w_i w_j)
-    J(z_i, z_j) and the lower Cholesky factor L L^T = I + M_J,
+    rule: Quadrature
+    sign: float
+    node_columns: tuple  # the earlier levels' columns at the rule's nodes
+    factor: np.ndarray  # lower Cholesky factor L of I - sign * M
 
-        K(x, y) = J(x, y) - t_x . t_y,   t_x = L^{-1} s_x,   s_x[i] = sqrt(w_i) J(z_i, x).
 
-    I + M_J has eigenvalues >= 1, so L is well conditioned.  K(X, X) is the
-    Schur complement of I + M_J in the PSD matrix [[J(X, X), S^T], [S, I + M_J]]
-    (the J Gram matrix of X and the weighted nodes, plus diag(0, I)), so K
-    stays exactly positive semidefinite and K(x, x) <= J(x, x).  A context
-    is immutable: its values depend on its window and node count only.
+@dataclass(frozen=True, eq=False)
+class HalfSolveKernel:
+    """A closed-form kernel k_0 plus levels, each in half-solve form.
+
+    k_0 is J for a derived family (whose K has no closed form) and K
+    otherwise.  A level on a rule with nodes z_i and weights w_i, with
+    M[i, j] = sqrt(w_i w_j) k(z_i, z_j) for the kernel k before it and
+    the lower Cholesky factor L L^T = I - sign * M, adds
+
+        sign * t_x . t_y,   t_x = L^{-1} s_x,   s_x[i] = sqrt(w_i) k(z_i, x).
+
+    Sign -1 on J gives the derived K = J - J (I + J)^{-1} J (a Schur
+    complement of the PSD J Gram matrix of x and the weighted nodes plus
+    diag(0, I), so K is PSD and K(x, x) <= J(x, x)); sign +1 on K gives the
+    resolvent extension J_[Lambda] = K + K (I - K)^{-1} K.  `columns(X)`
+    solves every level's t_x once; `values` and `diagonal` take them.
     """
 
-    __slots__ = ("kernel", "quad", "factor")
+    spec: Kernel
+    levels: tuple[HalfSolveLevel, ...] = ()
 
-    def __init__(self, kernel: "DerivedKernel", window: Window, nodes_per_axis: int):
-        quad = tensor_gauss_legendre(window, nodes_per_axis)
-        sw = quad.sqrt_weights
-        shifted = kernel.j_values(quad.nodes, quad.nodes) * np.outer(sw, sw)
-        shifted[np.diag_indices_from(shifted)] += 1.0
+    def _closed(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        if isinstance(self.spec, DerivedKernel):
+            return self.spec.j_values(X, Y)
+        return self.spec.k_values(X, Y)
+
+    def extend(self, rule: Quadrature, sign: float, shifted: np.ndarray, node_columns: tuple) -> "HalfSolveKernel":
+        """This kernel plus one level on `rule`.
+
+        `shifted` is I - sign * M (it is overwritten), and `node_columns`
+        is `columns(rule.nodes)`.
+        """
         try:
             factor = scipy.linalg.cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown(f"{kernel.label}: I + J is not positive definite") from exc
+            raise NumericalBreakdown(f"{self.spec.label}: I - sign * M is not positive definite") from exc
         if not np.all(np.isfinite(factor)):
-            raise NumericalBreakdown(f"{kernel.label}: derived-K factor has non-finite entries")
+            raise NumericalBreakdown(f"{self.spec.label}: half-solve factor has non-finite entries")
         factor.flags.writeable = False
-        self.kernel = kernel
-        self.quad = quad
-        self.factor = factor
+        return HalfSolveKernel(self.spec, self.levels + (HalfSolveLevel(rule, sign, node_columns, factor),))
 
-    def half_solve(self, X: np.ndarray) -> np.ndarray:
-        """Columns t_x = L^{-1} s_x, one per row of X."""
-        # the transpose of a C-ordered table is the Fortran layout the solve works in
-        S = (self.kernel.j_values(X, self.quad.nodes) * self.quad.sqrt_weights[None, :]).T
-        return scipy.linalg.solve_triangular(self.factor, S, lower=True, check_finite=False, overwrite_b=True)
+    def columns(self, X: np.ndarray) -> tuple:
+        """Every level's columns t_x, one per row of X."""
+        cols = ()
+        for level in self.levels:
+            # the transpose of a C-ordered table is the Fortran layout the solve works in
+            S = self._closed(X, level.rule.nodes).T
+            for earlier, tz, tx in zip(self.levels, level.node_columns, cols):
+                if earlier.sign > 0:
+                    S += tz.T @ tx
+                else:
+                    S -= tz.T @ tx
+            S *= level.rule.sqrt_weights[:, None]
+            cols += (scipy.linalg.solve_triangular(level.factor, S, lower=True, check_finite=False, overwrite_b=True),)
+        return cols
 
-    def k_values(self, X: np.ndarray, Y: np.ndarray, TX=None, TY=None) -> np.ndarray:
-        """K(X, Y); `TX`, `TY` may carry `half_solve(X)`, `half_solve(Y)`."""
-        TX = self.half_solve(X) if TX is None else TX
+    def values(self, X: np.ndarray, Y: np.ndarray, TX=None, TY=None) -> np.ndarray:
+        """The kernel at (X, Y); `TX`, `TY` may carry `columns(X)`, `columns(Y)`."""
+        TX = self.columns(X) if TX is None else TX
         if TY is None:
-            TY = TX if Y is X else self.half_solve(Y)
-        return self.kernel.j_values(X, Y) - TX.T @ TY
+            TY = TX if Y is X else self.columns(Y)
+        out = self._closed(X, Y)
+        for level, tx, ty in zip(self.levels, TX, TY):
+            if level.sign > 0:
+                out += tx.T @ ty
+            else:
+                out -= tx.T @ ty
+        return out
 
-    def k_diagonal(self, X: np.ndarray, TX=None) -> np.ndarray:
-        TX = self.half_solve(X) if TX is None else TX
-        return self.kernel.j_diagonal(X) - np.einsum("ip,ip->p", TX, TX)
+    def diagonal(self, X: np.ndarray, TX=None) -> np.ndarray:
+        """The kernel at (x, x) for each row of X; `TX` may carry `columns(X)`."""
+        TX = self.columns(X) if TX is None else TX
+        if isinstance(self.spec, DerivedKernel):
+            out = self.spec.j_diagonal(X)
+        else:
+            out = self.spec.k_diagonal(X)
+        for level, tx in zip(self.levels, TX):
+            if level.sign > 0:
+                out += np.einsum("ip,ip->p", tx, tx)
+            else:
+                out -= np.einsum("ip,ip->p", tx, tx)
+        return out
 
 
 class DerivedKernel(Kernel):
@@ -260,12 +305,17 @@ class DerivedKernel(Kernel):
     context_pad_ranges: float
     context_nodes_per_range: float
 
-    def attach_context(self, window: Window) -> _DerivedCorrelation:
-        """A new derived-K context for points in `window` (nothing is stored)."""
+    def attach_context(self, window: Window) -> HalfSolveKernel:
+        """A new derived-K context for points in `window` (nothing is stored):
+        J with one level of sign -1 on a rule over the padded window."""
         pad = self.context_pad_ranges * self.declared_range
         span = max(window.sides) + 2 * pad
         n = int(math.ceil(span * self.context_nodes_per_range / self.declared_range))
-        return _DerivedCorrelation(self, window.pad(pad), max(n, 8))
+        quad = tensor_gauss_legendre(window.pad(pad), max(n, 8))
+        sw = quad.sqrt_weights
+        shifted = self.j_values(quad.nodes, quad.nodes) * np.outer(sw, sw)
+        shifted[np.diag_indices_from(shifted)] += 1.0
+        return HalfSolveKernel(self).extend(quad, -1.0, shifted, ())
 
     def bounding_window(self, *point_sets: np.ndarray) -> Window:
         """Bounding box of the points, each side at least half the interaction range."""
@@ -278,12 +328,12 @@ class DerivedKernel(Kernel):
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
-        return self.attach_context(self.bounding_window(X, Y)).k_values(X, Y)
+        return self.attach_context(self.bounding_window(X, Y)).values(X, Y)
 
     def k_diagonal(self, X) -> np.ndarray:
         X = _coerce(X)
         self._check_dim(X)
-        return self.attach_context(self.bounding_window(X)).k_diagonal(X)
+        return self.attach_context(self.bounding_window(X)).diagonal(X)
 
     def norm_bound(self) -> float:
         mass = self.interaction_mass()
@@ -302,12 +352,8 @@ def triangular_profile(diff: np.ndarray, R: float) -> np.ndarray:
 class FiniteRangeFourier(DerivedKernel):
     """Finite-range interaction j(x - y) with nonnegative Fourier transform.
 
-    The default profile is the pure triangular factor
-    amplitude * prod_i (1 - |x_i - y_i|/R)^+, whose transform is a product
-    of nonnegative Fejer factors.  A user-supplied `profile` (a function of
-    the difference vector) multiplies the triangular factor; its Bochner
-    positivity is the caller's responsibility and is recorded in
-    `profile_certified`.
+    The profile is the triangular factor amplitude * prod_i (1 - |x_i - y_i|/R)^+,
+    whose transform is a product of nonnegative Fejer factors.
     """
 
     def __init__(
@@ -315,8 +361,6 @@ class FiniteRangeFourier(DerivedKernel):
         R: float,
         amplitude: float,
         dimension: int = 1,
-        profile: Callable[[np.ndarray], np.ndarray] | None = None,
-        profile_certified: bool = False,
         context_pad_ranges: float | None = None,
         context_nodes_per_range: float | None = None,
     ):
@@ -329,8 +373,6 @@ class FiniteRangeFourier(DerivedKernel):
         self.R = float(R)
         self.amplitude = float(amplitude)
         self.dimension = dimension
-        self.profile = profile
-        self.profile_certified = bool(profile_certified) if profile else True
         # triangular support is a sup-norm ball; its Euclidean radius is R sqrt(d)
         self.declared_range = self.R * math.sqrt(dimension)
         self.has_closed_form_J = True
@@ -348,10 +390,6 @@ class FiniteRangeFourier(DerivedKernel):
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
-        if self.profile is not None:
-            diff = X[:, None, :] - Y[None, :, :]
-            vals = self.amplitude * triangular_profile(diff, self.R)
-            return vals * np.asarray(self.profile(diff), dtype=float)
         # the triangular factor axis by axis, in the arithmetic of triangular_profile
         vals = np.ones((X.shape[0], Y.shape[0]))
         for i in range(self.dimension):
@@ -363,20 +401,7 @@ class FiniteRangeFourier(DerivedKernel):
         return vals
 
     def interaction_mass(self) -> float:
-        if self.profile is None:
-            return self.amplitude * self.R**self.dimension
-        # grid estimate of int |j| over the support box
-        n = 201
-        axes = [np.linspace(-self.R, self.R, n)] * self.dimension
-        if self.dimension == 1:
-            pts = axes[0][:, None]
-        else:
-            g0, g1 = np.meshgrid(*axes, indexing="ij")
-            pts = np.column_stack([g0.ravel(), g1.ravel()])
-        zero = np.zeros((1, self.dimension))
-        vals = np.abs(self.j_values(pts, zero))[:, 0]
-        cell = (2 * self.R / (n - 1)) ** self.dimension
-        return float(vals.sum() * cell)
+        return self.amplitude * self.R**self.dimension
 
     def diagonal_bound(self) -> float:
         # a context's K(x, x) = J(x, x) - |t_x|^2 <= J(x, x) = j(0)
@@ -384,12 +409,7 @@ class FiniteRangeFourier(DerivedKernel):
 
     @property
     def interaction_diagonal(self) -> float:
-        base = self.amplitude
-        if self.profile is not None:
-            base *= float(
-                np.asarray(self.profile(np.zeros((1, 1, self.dimension))), dtype=float).ravel()[0]
-            )
-        return base
+        return self.amplitude
 
 
 class Modulated(DerivedKernel):

@@ -16,6 +16,12 @@ from .errors import DomainError, NotPSD, SingularBlock
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-9
 COND_LIMIT = 1e12
+# matrix sizes of the batched suites, and trials per stacked chunk
+SIZES = range(2, 9)
+PSD_CHUNK = 4000
+PROJECTION_CHUNK = 2000
+# eigenvalues of the random positive T of the projection-inversion suite
+PROJECTION_EIGENVALUES = (0.1, 2.0)
 
 
 def _as_complex(A) -> np.ndarray:
@@ -169,69 +175,73 @@ def _normalized_margins(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
 
 
-def psd_inequality_suite(
-    trials: int,
-    seed: int,
-    tol: float = 1e-9,
-    dump_dir=None,
-    chunk: int = 4000,
-) -> dict[str, SuiteReport]:
+def _chunks(trials: int, chunk: int):
+    """(m, offset, count) per chunk: the trials spread as evenly as possible over SIZES."""
+    per_size, extra = divmod(trials, len(SIZES))
+    for i, m in enumerate(SIZES):
+        t_m = per_size + (i < extra)
+        for done in range(0, t_m, chunk):
+            yield m, done, min(chunk, t_m - done)
+
+
+class _Tally:
+    """Counts of one check over its chunks; `add` returns the violating indices."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.trials = self.violations = self.skipped = 0
+        self.worst = 0.0
+        self.dumps: list[str] = []
+
+    def add(self, margins: np.ndarray, tol: float, ok: np.ndarray | None = None) -> np.ndarray:
+        """Count a chunk's margins; entries where `ok` is False are skipped."""
+        ok = np.ones(margins.shape, dtype=bool) if ok is None else ok
+        bad = np.nonzero(ok & (margins < -tol))[0]
+        self.trials += int(ok.sum())
+        self.violations += bad.size
+        self.skipped += int((~ok).sum())
+        if np.any(ok):
+            self.worst = min(self.worst, float(margins[ok].min()))
+        return bad
+
+    def report(self) -> SuiteReport:
+        return SuiteReport(self.name, self.trials, self.violations, self.skipped, self.worst, tuple(self.dumps))
+
+
+def psd_inequality_suite(trials: int, seed: int, tol: float = 1e-9, dump_dir=None) -> dict[str, SuiteReport]:
     """Fischer, three-block, and bordered-ratio checks over one PSD pool.
 
     Sizes cycle over 2..8; block splits are drawn per chunk.  Returns one
     report per check; zero violations is the acceptance condition.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    counters = {k: [0, 0, 0, 0.0, []] for k in ("fischer", "three_block", "det_ratio")}
-    # trials spread as evenly as possible over the sizes
-    sizes = list(range(2, 9))
-    per_size = [trials // len(sizes)] * len(sizes)
-    for i in range(trials % len(sizes)):
-        per_size[i] += 1
-    for m, t_m in zip(sizes, per_size):
-        done = 0
-        while done < t_m:
-            t = min(chunk, t_m - done)
-            A = _psd_pool(rng, t, m)
-            _suite_fischer(A, rng, tol, counters["fischer"], dump_dir, m, done)
-            if m >= 3:
-                _suite_three_block(A, rng, tol, counters["three_block"], dump_dir, m, done)
-            _suite_det_ratio(A, rng, tol, counters["det_ratio"], dump_dir, m, done)
-            done += t
-    out = {}
-    for name, (n_tr, viol, skip, worst, dumps) in counters.items():
-        out[name] = SuiteReport(
-            name=name,
-            trials=n_tr,
-            violations=viol,
-            skipped=skip,
-            worst_margin=worst,
-            dumps=tuple(dumps),
-        )
-    return out
+    tallies = {name: _Tally(name) for name in ("fischer", "three_block", "det_ratio")}
+    for m, done, t in _chunks(trials, PSD_CHUNK):
+        A = _psd_pool(rng, t, m)
+        # in this order: each check draws its block split from rng
+        checks = [("fischer", *_fischer_margins(A, rng))]
+        if m >= 3:
+            checks.append(("three_block", *_three_block_margins(A, rng)))
+        checks.append(("det_ratio", *_det_ratio_margins(A, rng)))
+        for name, margins, ok, partition in checks:
+            tally = tallies[name]
+            bad = tally.add(margins, tol, ok)
+            if dump_dir:
+                for idx in bad[:10]:
+                    tally.dumps.append(_dump_violation(dump_dir, name, done + int(idx), A[idx], partition))
+    return {name: tally.report() for name, tally in tallies.items()}
 
 
-def _suite_fischer(A, rng, tol, acc, dump_dir, m, base_index):
-    t = A.shape[0]
+def _fischer_margins(A, rng):
+    m = A.shape[1]
     a = int(rng.integers(1, m))
     lhs = np.linalg.det(A).real
     rhs = np.linalg.det(A[:, :a, :a]).real * np.linalg.det(A[:, a:, a:]).real
-    margins = _normalized_margins(lhs, rhs)
-    bad = np.nonzero(margins < -tol)[0]
-    acc[0] += t
-    acc[1] += bad.size
-    acc[3] = min(acc[3], float(margins.min()))
-    if dump_dir:
-        for idx in bad[:10]:
-            acc[4].append(
-                _dump_violation(
-                    dump_dir, "fischer", base_index + int(idx), A[idx], [range(a), range(a, m)]
-                )
-            )
+    return _normalized_margins(lhs, rhs), None, [range(a), range(a, m)]
 
 
-def _suite_three_block(A, rng, tol, acc, dump_dir, m, base_index):
-    t = A.shape[0]
+def _three_block_margins(A, rng):
+    m = A.shape[1]
     a = int(rng.integers(1, m - 1))
     b = int(rng.integers(1, m - a))
     lhs = np.linalg.det(A).real * np.linalg.det(A[:, a : a + b, a : a + b]).real
@@ -239,31 +249,16 @@ def _suite_three_block(A, rng, tol, acc, dump_dir, m, base_index):
         np.linalg.det(A[:, : a + b, : a + b]).real
         * np.linalg.det(A[:, a:, a:]).real
     )
-    margins = _normalized_margins(lhs, rhs)
-    bad = np.nonzero(margins < -tol)[0]
-    acc[0] += t
-    acc[1] += bad.size
-    acc[3] = min(acc[3], float(margins.min()))
-    if dump_dir:
-        for idx in bad[:10]:
-            acc[4].append(
-                _dump_violation(
-                    dump_dir,
-                    "three_block",
-                    base_index + int(idx),
-                    A[idx],
-                    [range(a), range(a, a + b), range(a + b, m)],
-                )
-            )
+    return _normalized_margins(lhs, rhs), None, [range(a), range(a, a + b), range(a + b, m)]
 
 
-def _suite_det_ratio(A, rng, tol, acc, dump_dir, m, base_index):
-    t = A.shape[0]
+def _det_ratio_margins(A, rng):
+    """Minus the relative gap of the two routes; pivot blocks at COND_LIMIT are skipped."""
+    t, m = A.shape[:2]
     b = int(rng.integers(1, m))
     c = m - b
     Abb = A[:, m - b :, m - b :]
-    conds = np.linalg.cond(Abb)
-    ok_mask = conds < COND_LIMIT
+    ok_mask = np.linalg.cond(Abb) < COND_LIMIT
     det_bb = np.linalg.det(Abb)
     direct = np.linalg.det(A) / det_bb
     beta = np.arange(m - b, m)
@@ -276,93 +271,34 @@ def _suite_det_ratio(A, rng, tol, acc, dump_dir, m, base_index):
             bordered_entries[:, i, j] = np.linalg.det(A[:, rows[:, None], cols[None, :]])
     bordered = np.linalg.det(bordered_entries) / det_bb**c
     err = np.abs(direct - bordered) / np.maximum(1.0, np.abs(direct))
-    bad = np.nonzero(ok_mask & (err > tol))[0]
-    acc[0] += int(ok_mask.sum())
-    acc[1] += bad.size
-    acc[2] += int((~ok_mask).sum())
-    if np.any(ok_mask):
-        acc[3] = min(acc[3], -float(err[ok_mask].max()))
-    if dump_dir:
-        for idx in bad[:10]:
-            acc[4].append(
-                _dump_violation(dump_dir, "det_ratio", base_index + int(idx), A[idx], [beta])
-            )
+    return -err, ok_mask, [beta]
 
 
-def projection_inversion_suite(
-    trials: int,
-    seed: int,
-    tol: float = 1e-9,
-    eig_range: tuple[float, float] = (0.1, 2.0),
-    chunk: int = 2000,
-) -> SuiteReport:
+def projection_inversion_suite(trials: int, seed: int, tol: float = 1e-9) -> SuiteReport:
     """P T^{-1} P >= P (P T P)^{-1} P over random positive T and masks."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
-    sizes = list(range(2, 9))
-    per_size = [trials // len(sizes)] * len(sizes)
-    for i in range(trials % len(sizes)):
-        per_size[i] += 1
-    total = 0
-    violations = 0
-    worst = 0.0
-    for m, t_m in zip(sizes, per_size):
-        done = 0
-        while done < t_m:
-            t = min(chunk, t_m - done)
-            G = rng.standard_normal((t, m, m))
-            Q = np.linalg.qr(G)[0]
-            vals = rng.uniform(eig_range[0], eig_range[1], (t, m))
-            T = np.einsum("tik,tk,tjk->tij", Q, vals, Q)
-            k = int(rng.integers(1, m + 1))
-            inv_full = np.linalg.inv(T)[:, :k, :k]
-            inv_block = np.linalg.inv(T[:, :k, :k])
-            gaps = np.linalg.eigvalsh(inv_full - inv_block)[:, 0]
-            total += t
-            violations += int(np.sum(gaps < -tol))
-            worst = min(worst, float(gaps.min()))
-            done += t
-    return SuiteReport(
-        name="projection_inversion",
-        trials=total,
-        violations=violations,
-        skipped=0,
-        worst_margin=worst,
-    )
+    tally = _Tally("projection_inversion")
+    for m, _, t in _chunks(trials, PROJECTION_CHUNK):
+        G = rng.standard_normal((t, m, m))
+        Q = np.linalg.qr(G)[0]
+        vals = rng.uniform(*PROJECTION_EIGENVALUES, (t, m))
+        T = np.einsum("tik,tk,tjk->tij", Q, vals, Q)
+        k = int(rng.integers(1, m + 1))
+        inv_full = np.linalg.inv(T)[:, :k, :k]
+        inv_block = np.linalg.inv(T[:, :k, :k])
+        tally.add(np.linalg.eigvalsh(inv_full - inv_block)[:, 0], tol)
+    return tally.report()
 
 
-def determinant_monotonicity_suite(
-    trials: int,
-    seed: int,
-    tol: float = 1e-9,
-    chunk: int = 4000,
-) -> SuiteReport:
+def determinant_monotonicity_suite(trials: int, seed: int, tol: float = 1e-9) -> SuiteReport:
     """A <= A + G G^H in the PSD order implies det A <= det(A + G G^H)."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
-    sizes = list(range(2, 9))
-    per_size = [trials // len(sizes)] * len(sizes)
-    for i in range(trials % len(sizes)):
-        per_size[i] += 1
-    total = 0
-    violations = 0
-    worst = 0.0
-    for m, t_m in zip(sizes, per_size):
-        done = 0
-        while done < t_m:
-            t = min(chunk, t_m - done)
-            A = _psd_pool(rng, t, m)
-            B = A + _psd_pool(rng, t, m)
-            margins = _normalized_margins(np.linalg.det(A).real, np.linalg.det(B).real)
-            total += t
-            violations += int(np.sum(margins < -tol))
-            worst = min(worst, float(margins.min()))
-            done += t
-    return SuiteReport(
-        name="determinant_monotonicity",
-        trials=total,
-        violations=violations,
-        skipped=0,
-        worst_margin=worst,
-    )
+    tally = _Tally("determinant_monotonicity")
+    for m, _, t in _chunks(trials, PSD_CHUNK):
+        A = _psd_pool(rng, t, m)
+        B = A + _psd_pool(rng, t, m)
+        tally.add(_normalized_margins(np.linalg.det(A).real, np.linalg.det(B).real), tol)
+    return tally.report()
 
 
 def high_precision_margin(A, partition, kind: str = "fischer", dps: int = 50) -> float:

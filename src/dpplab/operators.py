@@ -12,9 +12,8 @@ the resolvent identity
     s_x[i] = sqrt(w_i) K(z_i, x),
 
 equivalent to appending x and y as zero-weight quadrature nodes.  It is
-evaluated in half-solve form: with the cached lower Cholesky factor
-L L^T = I - M and t_x = L^{-1} s_x, the second summand is t_x . t_y, so a
-query costs one triangular solve for each point set.  Both summands are
+evaluated in half-solve form: with the lower Cholesky factor L L^T = I - M
+and t_x = L^{-1} s_x, the second summand is t_x . t_y.  Both summands are
 positive-semidefinite kernels, so every configuration matrix assembled
 this way is PSD and the determinant inequalities under test are exact
 matrix facts, independent of discretization error.
@@ -23,8 +22,10 @@ The operator owns one immutable K context, and every K value made
 through it (the matrix, the columns s_x, the K(x, y) summand) comes from
 that context, so values depend on the operator alone and not on other
 queries.  For a derived-K family (`kernels.DerivedKernel`) it is the
-family's context on the operator's window; a closed-form K is evaluated
-directly behind the same interface.
+family's context on the operator's window; a closed-form K is a
+`kernels.HalfSolveKernel` without levels.  J_[Lambda] is that context
+plus one level of sign +1 on the operator's rule, built once after the
+spectrum gate, so a query solves each level's columns of its points once.
 
 The spectrum gate (top eigenvalue below `SPECTRUM_GATE`) and the
 determinant formulas read eigenvalues only (`eigvalsh`); eigenvectors
@@ -33,11 +34,11 @@ are computed only for the samplers and the spectral map of
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DomainError,
@@ -48,7 +49,7 @@ from .errors import (
     SpectrumAtOne,
 )
 from .geometry import Window
-from .kernels import DerivedKernel, Kernel
+from .kernels import DerivedKernel, HalfSolveKernel, Kernel
 from .quadrature import Quadrature, tensor_gauss_legendre
 
 # (H) gate: refuse spectral transforms when the top eigenvalue reaches 1
@@ -57,11 +58,9 @@ SPECTRUM_GATE = 1.0 - 1e-8
 DUST_RELATIVE = 1e-12
 # genuine negative eigenvalues beyond this are a breakdown, not dust
 NEGATIVE_TOLERANCE = 1e-9
-# points whose resolvent columns are evaluated at a time: a long stack of
-# blocks never holds its kernel tables (or a derived-K context's columns) at once
+# points of whole blocks whose columns are solved at a time: a long stack of
+# blocks never holds its kernel tables or its columns at once
 COLUMN_CHUNK = 512
-# an absent cache entry (a context with nothing to solve caches None)
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,8 @@ class DiscretizedOperator:
 
     def _cached(self, key: str, compute: Callable[[], object]):
         """The value of `key`, computed on first use; concurrent first uses share one object."""
-        value = self._cache.get(key, _MISSING)
-        if value is _MISSING:
+        value = self._cache.get(key)
+        if value is None:
             value = self._cache.setdefault(key, compute())
         return value
 
@@ -169,8 +168,8 @@ def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOper
     held = {}
     if which == "K":
         held["context"] = ctx = _new_k_context(spec, quad)
-        held["node_half_solve"] = T = ctx.half_solve(quad.nodes)
-        values = ctx.k_values(quad.nodes, quad.nodes, T, T)
+        held["node_columns"] = T = ctx.columns(quad.nodes)
+        values = ctx.values(quad.nodes, quad.nodes, T, T)
         kind = "K"
     elif which == "J":
         if not spec.has_closed_form_J:
@@ -185,28 +184,10 @@ def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOper
     return op
 
 
-class _ClosedFormK:
-    """The context interface for a kernel whose K is closed-form: nothing to solve."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: Kernel):
-        self.spec = spec
-
-    def half_solve(self, X: np.ndarray) -> None:
-        return None
-
-    def k_values(self, X: np.ndarray, Y: np.ndarray, TX=None, TY=None) -> np.ndarray:
-        return self.spec.k_values(X, Y)
-
-    def k_diagonal(self, X: np.ndarray, TX=None) -> np.ndarray:
-        return self.spec.k_diagonal(X)
-
-
 def _new_k_context(spec: Kernel, quad: Quadrature):
     """What evaluates K on a rule: a new derived-K context covering it, or the closed form."""
     if not isinstance(spec, DerivedKernel):
-        return _ClosedFormK(spec)
+        return HalfSolveKernel(spec)
     return spec.attach_context(quad.window if quad.window is not None else spec.bounding_window(quad.nodes))
 
 
@@ -294,43 +275,27 @@ def projection_inversion_gap(T, mask) -> float:
 # off-node interaction values (resolvent extension)
 
 
-def _resolvent_factor(op: DiscretizedOperator) -> np.ndarray:
-    """Lower Cholesky factor L of I - M (L L^T = I - M) for a correlation operator.
-
-    Built once per operator, after the spectrum gate, and checked for
-    finite entries then; queries solve against it without further checks.
-    In half-solve form J(x, y) = K(x, y) + t_x . t_y with t_x = L^{-1} s_x.
-    """
-    if op.kind != "K":
-        raise DomainError("resolvent extension needs a correlation operator")
-
-    def compute():
-        _gate(op)  # enforces the spectrum-below-one hypothesis
-        factor = scipy.linalg.cholesky(np.eye(op.size) - op.matrix, lower=True, check_finite=False)
-        if not np.all(np.isfinite(factor)):
-            raise NumericalBreakdown(f"{op.kind} resolvent factor has non-finite entries")
-        return factor
-
-    return op._cached("chol", compute)
-
-
 def _k_context(op: DiscretizedOperator):
     """The operator's K context: `discretize_on` keeps the one its matrix
     came from, and an operator built directly makes its own on first use."""
     return op._cached("context", lambda: _new_k_context(op.spec, op.quad))
 
 
-def _half_solve(op: DiscretizedOperator, X: np.ndarray) -> np.ndarray:
-    """T = L^{-1} S_X with S_X[i, p] = sqrt(w_i) K(z_i, x_p): one column per point."""
-    factor = _resolvent_factor(op)
-    ctx, nodes = _k_context(op), op.quad.nodes
-    # the context's columns of the nodes are kept with the operator
-    T_nodes = op._cached("node_half_solve", lambda: ctx.half_solve(nodes))
-    S = np.empty((op.size, X.shape[0]), order="F")  # the layout the solve works in
-    for lo in range(0, X.shape[0], COLUMN_CHUNK):
-        cols = ctx.k_values(nodes, X[lo:lo + COLUMN_CHUNK], T_nodes)
-        S[:, lo:lo + COLUMN_CHUNK] = cols * op.quad.sqrt_weights[:, None]
-    return scipy.linalg.solve_triangular(factor, S, lower=True, check_finite=False, overwrite_b=True)
+def _interaction(op: DiscretizedOperator) -> HalfSolveKernel:
+    """J_[Lambda]: the K context plus the level of sign +1 with L L^T = I - M.
+
+    Built once per operator, after the spectrum gate; the level's node
+    columns are the context's columns that `discretize_on` solved for the
+    matrix.
+    """
+
+    def compute():
+        _gate(op)  # enforces the spectrum-below-one hypothesis
+        ctx = _k_context(op)
+        node_columns = op._cached("node_columns", lambda: ctx.columns(op.quad.nodes))
+        return ctx.extend(op.quad, 1.0, np.eye(op.size) - op.matrix, node_columns)
+
+    return op._cached("interaction", compute)
 
 
 def interaction_values(op: DiscretizedOperator, X, Y=None, *, blocks=None):
@@ -338,34 +303,41 @@ def interaction_values(op: DiscretizedOperator, X, Y=None, *, blocks=None):
 
     With `blocks`, ascending row offsets 0 = o_0 <= ... <= o_t = len(X) as
     in `SampleBatch.offsets`, the result is instead the list of diagonal
-    blocks J(X_b, X_b), X_b = X[o_b:o_{b+1}]: one triangular solve covers
-    every row and no entry between two blocks is formed.
+    blocks J(X_b, X_b), X_b = X[o_b:o_{b+1}]: columns are solved once per
+    run of whole blocks of about `COLUMN_CHUNK` points, and no entry
+    between two blocks is formed.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    TX = _half_solve(op, X)
-    ctx = _k_context(op)
+    J = _interaction(op)
     if blocks is not None:
         if Y is not None:
             raise DomainError("blocks take one point set")
+        offsets = np.asarray(blocks).tolist()
         out = []
-        for lo, hi in zip(blocks[:-1], blocks[1:]):
-            Xb, Tb = X[lo:hi], TX[:, lo:hi]
-            vals = ctx.k_values(Xb, Xb) + Tb.T @ Tb
-            out.append(0.5 * (vals + vals.T))
+        start = 0
+        while start < len(offsets) - 1:
+            # a run: the whole blocks from `start` that end within COLUMN_CHUNK points, at least one
+            stop = max(bisect.bisect_right(offsets, offsets[start] + COLUMN_CHUNK) - 1, start + 1)
+            base = offsets[start]
+            TX = J.columns(X[base:offsets[stop]])
+            for lo, hi in zip(offsets[start:stop], offsets[start + 1:stop + 1]):
+                Xb, Tb = X[lo:hi], [t[:, lo - base:hi - base] for t in TX]
+                vals = J.values(Xb, Xb, Tb, Tb)
+                out.append(0.5 * (vals + vals.T))
+            start = stop
         return out
+    TX = J.columns(X)
     if Y is None or Y is X:
-        out = ctx.k_values(X, X) + TX.T @ TX
+        out = J.values(X, X, TX, TX)
         return 0.5 * (out + out.T)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    TY = _half_solve(op, Y)
-    return ctx.k_values(X, Y) + TX.T @ TY
+    return J.values(X, Y, TX, J.columns(Y))
 
 
 def interaction_diagonal(op: DiscretizedOperator, X) -> np.ndarray:
     """J_[Lambda](x, x) for each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = _half_solve(op, X)
-    return _k_context(op).k_diagonal(X) + np.einsum("ip,ip->p", T, T)
+    return _interaction(op).diagonal(X)
 
 
 def interaction_diagonal_bound(op: DiscretizedOperator) -> float:

@@ -481,6 +481,9 @@ def load_batch(prefix) -> SampleBatch:
     ids = table[:, 0]
     if table.shape[1] != 1 + d or np.any(ids != np.round(ids)):
         raise DomainError(f"malformed batch rows: {table.shape[1]} columns or a fractional sample id")
+    outside = ~window.contains(table[:, 1:])
+    if np.any(outside):
+        raise DomainError(f"batch point {table[np.argmax(outside), 1:].tolist()} lies outside {window}")
     # sample ids outside 0..count-1 leave offsets that SampleBatch rejects
     order = np.argsort(ids, kind="stable")
     params = dict(parser["params"]) if parser.has_section("params") else {}

@@ -11,6 +11,7 @@ from dpplab.errors import DomainError, QuadratureMismatch, SingularOperator, Spe
 from dpplab.geometry import Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
 from dpplab.operators import (
+    COLUMN_CHUNK,
     DiscretizedOperator,
     det_I_plus,
     discretize,
@@ -191,10 +192,10 @@ def _reference_interaction(disc, X, Y):
     # from the operator's own K context (a derived-K context, or the closed form)
     k = _k_context(disc)
     sw = disc.quad.sqrt_weights[:, None]
-    SX = k.k_values(disc.quad.nodes, X) * sw
-    SY = k.k_values(disc.quad.nodes, Y) * sw
+    SX = k.values(disc.quad.nodes, X) * sw
+    SY = k.values(disc.quad.nodes, Y) * sw
     cho = scipy.linalg.cho_factor(np.eye(disc.size) - disc.matrix, lower=True)
-    return k.k_values(X, Y) + SX.T @ scipy.linalg.cho_solve(cho, SY)
+    return k.values(X, Y) + SX.T @ scipy.linalg.cho_solve(cho, SY)
 
 
 def _assert_close(got, want):
@@ -227,16 +228,52 @@ class TestHalfSolveForm:
         _assert_close(interaction_values(disc, X, Y), _reference_interaction(disc, X, Y))
         _assert_close(interaction_diagonal(disc, X), np.diag(_reference_interaction(disc, X, X)))
 
-    @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES[:2])
+    @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES)
     def test_blocks_are_the_diagonal_blocks(self, spec, window, n):
         disc = discretize(spec, "K", window, n)
-        X = window.lower[0] + window.sides[0] * np.random.default_rng(6).random((9, 1))
+        rng = np.random.default_rng(6)
+        X = np.asarray(window.lower) + np.asarray(window.sides) * rng.random((9, window.dimension))
         offsets = [0, 2, 2, 7, 9]
         blocks = interaction_values(disc, X, blocks=offsets)
         full = interaction_values(disc, X)
         assert [b.shape for b in blocks] == [(2, 2), (0, 0), (5, 5), (2, 2)]
         for lo, hi, block in zip(offsets[:-1], offsets[1:], blocks):
             _assert_close(block, full[lo:hi, lo:hi])
+
+    @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES[:2])
+    def test_long_stack_is_the_diagonal_blocks(self, spec, window, n):
+        # more than COLUMN_CHUNK points in several runs: one block larger than
+        # a run, and empty blocks at the start, in the middle and at the end
+        disc = discretize(spec, "K", window, n)
+        sizes = [0, 3, COLUMN_CHUNK + 88, 0, 250, 4, 300, 0, 0]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        X = window.lower[0] + window.sides[0] * np.random.default_rng(8).random((offsets[-1], 1))
+        blocks = interaction_values(disc, X, blocks=offsets)
+        full = interaction_values(disc, X)
+        assert [b.shape for b in blocks] == [(m, m) for m in sizes]
+        for lo, hi, block in zip(offsets[:-1], offsets[1:], blocks):
+            _assert_close(block, full[lo:hi, lo:hi])
+
+    def test_each_level_solves_once_per_run_of_blocks(self, monkeypatch):
+        # a derived-K operator has two levels (its K context and J_[Lambda]);
+        # each solves the columns of a run of whole blocks once, not once per block
+        disc = discretize(FiniteRangeFourier(1.0, 0.8), "K", Window.interval(0.0, 6.0), 100)
+        X = 6.0 * np.random.default_rng(9).random((2400, 1))
+        offsets = np.arange(0, 2401, 6)
+        interaction_values(disc, X[:6])  # gate and J_[Lambda] first
+        calls = []
+        solve = scipy.linalg.solve_triangular
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", counted)
+        blocks = interaction_values(disc, X, blocks=offsets)
+        assert len(blocks) == 400
+        runs = math.ceil(400 / (COLUMN_CHUNK // 6))
+        assert len(calls) == 2 * runs
+        assert sum(calls) == 2 * 2400
 
     def test_derived_values_ignore_query_order(self):
         # bare k_values calls build throwaway contexts; an operator keeps its own

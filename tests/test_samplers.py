@@ -346,6 +346,13 @@ class TestPersistence:
         with pytest.raises(DomainError):
             load_batch(tmp_path / "b")
 
+    def test_point_outside_the_window_rejected(self, tmp_path):
+        batch = SampleBatch.from_samples(WINDOW, [np.array([[1.0]])], seed=0, method="t")
+        save_batch(batch, tmp_path / "b")
+        (tmp_path / "b.csv").write_text("sample_id,x\n0,1.0\n0,99.0\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="outside"):
+            load_batch(tmp_path / "b")
+
     def test_wrong_column_count_rejected(self, tmp_path):
         batch = SampleBatch.from_samples(WINDOW, [np.array([[1.0]])], seed=0, method="t")
         save_batch(batch, tmp_path / "b")
