@@ -8,16 +8,23 @@ interval with n = 1120 nodes in 20 panels.  `test_finite_range_stack` has
 the shape of `cpi-monotonicity` instead: FiniteRangeFourier(1, 0.8) on
 [0, 6] with n = 100, a derived-K operator whose queries solve two levels
 of columns.  Each benchmark warms the operator's caches first, so it
-times steady-state queries only, except `test_gate`, which times the
-eigenvalue-only spectrum gate of a fresh operator.
+times steady-state queries only, except `test_gate` and
+`test_certificate`, which time the two forms of the spectrum gate on a
+fresh operator: the eigenvalue gate (`eigvalsh`) and the two Cholesky
+factorizations of J_[Lambda]'s certificate, which also fill I - M.
+`test_candidate_ratios` is the candidate loop of `cpi-limit`: 200
+instances of one added point and a renewal configuration on [0, 20],
+their closed-form ratios on the 5 windows of the example, one
+`candidate_intensity` batch call per window.
 """
 import numpy as np
 import pytest
 
-from dpplab.densities import determinant_ratios
-from dpplab.geometry import Window
+from dpplab.densities import candidate_intensity, determinant_ratios
+from dpplab.geometry import SampleBatch, Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
-from dpplab.operators import DiscretizedOperator, _gate, discretize, interaction_values
+from dpplab.operators import DiscretizedOperator, _certified_shift, _gate, discretize, interaction_values
+from dpplab.renewal import sample_stationary_renewal
 
 SPEC = RenewalExponential(0.25, 1.0)
 WINDOW = Window.interval(0.0, 20.0)
@@ -61,6 +68,25 @@ def test_gate(benchmark, disc):
         return _gate(DiscretizedOperator(disc.quad, disc.matrix, disc.spec, "K"))
 
     benchmark(fresh_gate)
+
+
+def test_certificate(benchmark, disc):
+    def fresh_certificate():
+        return _certified_shift(DiscretizedOperator(disc.quad, disc.matrix, disc.spec, "K"))
+
+    benchmark(fresh_certificate)
+
+
+def test_candidate_ratios(benchmark):
+    given = sample_stationary_renewal(SPEC.forms, WINDOW, 200, 5)
+    added = SampleBatch.from_samples(WINDOW, [[[x]] for x in 8.0 + 4.0 * np.random.default_rng(4).random(200)],
+                                     seed=4, method="uniform")
+    windows = [Window.interval(10.0 - h, 10.0 + h) for h in (2.0, 4.0, 6.0, 8.0, 10.0)]
+
+    def ratios():
+        return [candidate_intensity(SPEC, added, given, w) for w in windows]
+
+    benchmark(ratios)
 
 
 def test_stacked_ratios(benchmark, disc):

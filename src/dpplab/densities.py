@@ -214,24 +214,36 @@ def determinant_ratios(blocks: Sequence[np.ndarray], tails: Sequence[int]) -> li
     return out
 
 
-def _compound_intensities(
-    disc: DiscretizedOperator, window: Window, added: SampleBatch, given: SampleBatch
-) -> list[DeterminantRatio]:
+def _joined(added: SampleBatch, given: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's added points, then its given points, in one stack; with its offsets.
+
+    Two points of one sample closer than COINCIDENCE raise DuplicatePoint.
+    """
     if len(added) != len(given):
         raise DomainError("added and given batches have different numbers of samples")
     if added.window.dimension != given.window.dimension:
         raise DimensionMismatch("batches of different dimension")
-    # each sample's added points, then its given points: one block per sample
     ids = np.concatenate([added.sample_ids(), given.sample_ids()])
     order = np.argsort(ids, kind="stable")
     pts = np.concatenate([added.coords, given.coords])[order]
     offsets = added.offsets + given.offsets
-    merged = SampleBatch(window, pts, offsets, seed=given.seed, method=given.method)
+    merged = SampleBatch(given.window, pts, offsets, seed=given.seed, method=given.method)
     if len(percolation.close_pairs(merged, COINCIDENCE)):
         raise DuplicatePoint(f"added + given has points closer than {COINCIDENCE}")
-    if len(pts) and not np.all(window.contains(pts)):
-        raise DomainError("added + given has points outside the window")
-    blocks = interaction_values(disc, pts, blocks=offsets)
+    return pts, offsets
+
+
+def _one_sample(config: Configuration) -> SampleBatch:
+    """`config` as a batch of one sample, on a box around its points."""
+    lo = config.coords.min(axis=0, initial=0.0) - 1.0
+    hi = config.coords.max(axis=0, initial=0.0) + 1.0
+    return SampleBatch.from_samples(Window(tuple(lo), tuple(hi)), [config.coords], seed=0, method="configuration")
+
+
+def _closed_form_ratios(spec: Kernel, added: SampleBatch, given: SampleBatch) -> list[DeterminantRatio]:
+    """det J(added + given) / det J(given) per sample, with the closed-form J, from one stack."""
+    pts, offsets = _joined(added, given)
+    blocks = [spec.j_values(b, b) for b in np.split(pts, offsets[1:-1])]
     return determinant_ratios(blocks, given.counts())
 
 
@@ -252,14 +264,13 @@ def compound_intensity(
     of per-sample intensities, all from one `interaction_values` stack.
     """
     disc = disc or discretize(spec, "K", window, n)
-    if isinstance(added, SampleBatch):
-        return _compound_intensities(disc, window, added, given)
-    merged = union(added, given)  # raises DuplicatePoint on overlap
-    _check_simple(merged, "added + given")
-    _check_in_window(merged, window, "added + given")
-    pts = np.concatenate([added.coords, given.coords], axis=0)
-    values = interaction_values(disc, pts)
-    return determinant_ratios([values], [len(given)])[0]
+    if isinstance(added, Configuration):
+        return compound_intensity(spec, window, n, _one_sample(added), _one_sample(given), disc=disc)[0]
+    pts, offsets = _joined(added, given)
+    if len(pts) and not np.all(window.contains(pts)):
+        raise DomainError("added + given has points outside the window")
+    blocks = interaction_values(disc, pts, blocks=offsets)
+    return determinant_ratios(blocks, given.counts())
 
 
 def chain_rule_product(
@@ -288,21 +299,21 @@ def chain_rule_product(
 
 def candidate_intensity(
     spec: Kernel,
-    added: Configuration,
-    given: Configuration,
+    added: Configuration | SampleBatch,
+    given: Configuration | SampleBatch,
     window: Window,
-) -> DeterminantRatio:
+) -> DeterminantRatio | list[DeterminantRatio]:
     """One term of the candidate global intensity: the window-truncated ratio
 
     det J(added + given_restricted) / det J(given_restricted)
     with the closed-form global interaction kernel.
+
+    For two batches with the same number of samples the result is the list
+    of per-sample terms, all from one `determinant_ratios` stack.
     """
-    chopped = restrict(given, window)
-    merged = union(added, chopped)
-    _check_simple(merged, "added + given")
-    pts = np.concatenate([added.coords, chopped.coords], axis=0)
-    values = spec.j_values(pts, pts)
-    return determinant_ratios([values], [len(chopped)])[0]
+    if isinstance(added, Configuration):
+        return candidate_intensity(spec, _one_sample(added), _one_sample(given), window)[0]
+    return _closed_form_ratios(spec, added, restrict(given, window))
 
 
 def candidate_sequence(
@@ -323,22 +334,22 @@ def candidate_sequence(
 
 def cluster_intensity(
     spec: Kernel,
-    added: Configuration,
-    given: Configuration,
-) -> DeterminantRatio:
+    added: Configuration | SampleBatch,
+    given: Configuration | SampleBatch,
+) -> DeterminantRatio | list[DeterminantRatio]:
     """Finite-range factorization of the candidate intensity.
 
     Only the part of `given` connected to `added` through balls of the
     declared range enters the ratio; the rest cancels block by block.
+    For two batches with the same number of samples the result is the list
+    of per-sample ratios, all from one `determinant_ratios` stack.
     """
     if not np.isfinite(spec.declared_range):
         raise NoFiniteRange(f"{spec.label} has no finite declared range")
-    merged = union(added, given)
-    _check_simple(merged, "added + given")
-    hull = percolation.hull_of(added, given, spec.declared_range)
-    pts = np.concatenate([added.coords, hull.coords], axis=0)
-    values = spec.j_values(pts, pts)
-    return determinant_ratios([values], [len(hull)])[0]
+    if isinstance(added, Configuration):
+        return cluster_intensity(spec, _one_sample(added), _one_sample(given))[0]
+    _joined(added, given)  # all of added + given must be simple, not only the hull
+    return _closed_form_ratios(spec, added, percolation.hull_of(added, given, spec.declared_range))
 
 
 class ConditionalKernel:

@@ -14,19 +14,19 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import matrixineq, percolation, renewal
 from .densities import (
+    _stack_logdets,
     candidate_intensity,
     cluster_intensity,
     compound_intensity,
     determinant_ratios,
     janossy_normalization,
-    psd_logdet,
 )
 from .errors import ConfigError, DimensionMismatch, ParameterOutOfRange
-from .geometry import Configuration, Window, count_in
+from .geometry import Configuration, Window, count_in, restrict
 from .kernels import FiniteRangeFourier, Kernel, RenewalExponential
 from .operators import (
     discretize,
@@ -37,6 +37,7 @@ from .operators import (
 from .quadrature import concatenate, tensor_gauss_legendre
 from .samplers import (
     SampleBatch,
+    _streams,
     domination_test,
     sample_dpp_birth_death,
     sample_dpp_spectral,
@@ -558,7 +559,7 @@ def _two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray, min_expected: f
     ea, eb = na * pooled, nb * pooled
     stat = float(np.sum((oa - ea) ** 2 / ea) + np.sum((ob - eb) ** 2 / eb))
     dof = oa.size - 1
-    return stat, dof, float(scipy.stats.chi2.sf(stat, dof))
+    return stat, dof, float(scipy.special.chdtrc(dof, stat))  # the chi2(dof) survival function
 
 
 @_register(
@@ -882,26 +883,24 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, out_dir):
             a_pt = lo_a + (hi_a - lo_a) * rng.random()
             if len(xi) == 0 or np.abs(xi.coords[:, 0] - a_pt).min() > 1e-6:
                 break
-        added = Configuration([(a_pt,)])
         closed = renewal.global_compound_intensity(forms, a_pt, xi.coords[:, 0])
-        cand = np.array(
-            [candidate_intensity(spec, added, xi, w).value for w, _, _ in discs]
-        )
-        mono_worst = float(np.min(np.diff(-cand) / np.maximum(1.0, cand[:-1]))) if len(cand) > 1 else 0.0
-        route_err = abs(cand[-1] - closed) / max(1.0, abs(closed))
-        return added.coords, xi.coords, closed, mono_worst, route_err
+        return np.array([[a_pt]]), xi.coords, closed
 
     flat = [one(i) for i in range(instances)]
     added = SampleBatch.from_samples(domain, [f[0] for f in flat], seed=seed, method="uniform")
+    given = SampleBatch.from_samples(domain, [f[1] for f in flat], seed=seed, method="renewal")
     closed = np.array([f[2] for f in flat])
-    monos = np.array([f[3] for f in flat])
-    routes = np.array([f[4] for f in flat])
+    # candidate ratios of every instance, one stack per window
+    cand = np.array([[r.value for r in candidate_intensity(spec, added, given, w)] for w, _, _ in discs]).T
+    if len(discs) > 1:
+        monos = np.min(np.diff(-cand, axis=1) / np.maximum(1.0, cand[:, :-1]), axis=1)
+    else:
+        monos = np.zeros(instances)
+    routes = np.abs(cand[:, -1] - closed) / np.maximum(1.0, np.abs(closed))
 
     def window_intensities(w: Window, n: int, d) -> list[float]:
         # c_window(a | xi in window) of every instance, from one stack per window
-        inside = [f[1][w.contains(f[1])] for f in flat]
-        given = SampleBatch.from_samples(w, inside, seed=seed, method="renewal")
-        return [r.value for r in compound_intensity(spec, w, n, added, given, disc=d)]
+        return [r.value for r in compound_intensity(spec, w, n, added, restrict(given, w), disc=d)]
 
     local = np.array([window_intensities(w, n, d) for w, n, d in discs]).T
     per_window_err = np.abs(local - closed[:, None])
@@ -976,7 +975,7 @@ def _run_cluster_formula(kernel_cfg, p: Params, seed, out_dir):
     domain = Window.interval(0.0, domain_len)
     center = domain_len / 2.0
 
-    def one(i: int):
+    def draw(i: int):
         rng = stream(_subseed(seed, 11), i)
         while True:
             m = int(rng.poisson(intensity * domain_len))
@@ -988,24 +987,21 @@ def _run_cluster_formula(kernel_cfg, p: Params, seed, out_dir):
                 ~np.eye(len(allpts), dtype=bool)
             ].min() > 1e-6:
                 break
-        added = Configuration.from_coords(extra[:, None], dimension=1)
-        given = Configuration.from_coords(pts[:, None], dimension=1)
-        cluster = cluster_intensity(spec, added, given).value
-        ladder = [
-            Window.interval(center - r, center + r)
-            for r in (domain_len / 8.0, domain_len / 4.0, domain_len / 2.0)
-        ]
-        cand = np.array(
-            [candidate_intensity(spec, added, given, w).value for w in ladder]
-            + [candidate_intensity(spec, added, given, domain).value]
-        )
-        mono_worst = float(np.min(np.diff(-cand) / np.maximum(1.0, cand[:-1])))
-        err = abs(cand[-1] - cluster) / max(1.0, abs(cand[-1]))
-        return err, mono_worst, len(given), cluster, float(cand[-1])
+        return extra[:, None], pts[:, None]
 
-    flat = [one(i) for i in range(instances)]
-    errs = np.array([f[0] for f in flat])
-    monos = np.array([f[1] for f in flat])
+    drawn = [draw(i) for i in range(instances)]
+    added = SampleBatch.from_samples(domain, [d[0] for d in drawn], seed=seed, method="uniform")
+    given = SampleBatch.from_samples(domain, [d[1] for d in drawn], seed=seed, method="poisson")
+    cluster = np.array([r.value for r in cluster_intensity(spec, added, given)])
+    ladder = [
+        Window.interval(center - r, center + r)
+        for r in (domain_len / 8.0, domain_len / 4.0, domain_len / 2.0)
+    ] + [domain]
+    # candidate ratios of every instance, one stack per window
+    cand = np.array([[r.value for r in candidate_intensity(spec, added, given, w)] for w in ladder]).T
+    monos = np.min(np.diff(-cand, axis=1) / np.maximum(1.0, cand[:, :-1]), axis=1)
+    errs = np.abs(cand[:, -1] - cluster) / np.maximum(1.0, np.abs(cand[:, -1]))
+
     checks = [
         Check(
             name="cluster formula equals the stabilized candidate",
@@ -1022,7 +1018,8 @@ def _run_cluster_formula(kernel_cfg, p: Params, seed, out_dir):
     ]
     qx, qy = _downsample(errs)
     series = [Series(x=list(qx), y=list(np.maximum(qy, 1e-18)), label="relative gap", markers=False)]
-    rows = [[i, f[2], f[3], f[4], f[0]] for i, f in enumerate(flat[: min(len(flat), 2000)])]
+    counts = given.counts()
+    rows = [[i, counts[i], cluster[i], cand[i, -1], errs[i]] for i in range(min(instances, 2000))]
     return ExperimentResult(
         name="cluster-formula",
         seed=seed,
@@ -1046,6 +1043,8 @@ def _run_cluster_formula(kernel_cfg, p: Params, seed, out_dir):
     "spacing density f(s) = e^{-as} d(s); det J(alpha) = u(x_1) v(x_n) prod d(gap_i)",
 )
 def _run_renewal_equivalence(kernel_cfg, p: Params, seed, out_dir):
+    import scipy.stats  # the only use of scipy.stats, which takes half of `import dpplab` at module level
+
     spec = build_kernel(kernel_cfg)
     if not isinstance(spec, RenewalExponential):
         raise ConfigError("renewal-equivalence: needs the renewal family")
@@ -1060,19 +1059,22 @@ def _run_renewal_equivalence(kernel_cfg, p: Params, seed, out_dir):
     ks = scipy.stats.kstest(spacings, lambda s: renewal.spacing_cdf(forms, s))
     critical = 1.628 / math.sqrt(ks_samples)
 
-    def one(i: int):
-        rng = stream(_subseed(seed, 2), i)
+    # configuration i has 2 + i % 7 points; the determinants of one size form one stack
+    coords = {m: [] for m in range(2, 9)}
+    products = np.empty(configs)
+    for i, rng in enumerate(_streams(_subseed(seed, 2), 0, configs)):
+        m = 2 + (i % 7)
         while True:
-            m = 2 + (i % 7)
             xs = np.sort(rng.random(m)) * domain_len
             if np.diff(xs).min() > 1e-6:
                 break
         cfg = Configuration.from_coords(xs[:, None], dimension=1)
-        direct = psd_logdet(spec.j_values(cfg.coords, cfg.coords))
-        product = renewal.log_det_factorized(forms, cfg)
-        return abs(direct - product) / max(1.0, abs(product))
-
-    errs = np.array([one(i) for i in range(configs)])
+        products[i] = renewal.log_det_factorized(forms, cfg)
+        coords[m].append(cfg.coords)
+    direct = np.empty(configs)
+    for m, pts in coords.items():
+        direct[m - 2::7] = _stack_logdets(np.array([spec.j_values(x, x) for x in pts]))
+    errs = np.abs(direct - products) / np.maximum(1.0, np.abs(products))
 
     checks = [
         Check(

@@ -8,6 +8,7 @@ a single ragged array.  Windows are closed axis-aligned boxes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -239,6 +240,12 @@ class SampleBatch:
         """Index of the sample each row of `coords` belongs to."""
         return np.repeat(np.arange(len(self)), self.counts())
 
+    def subset(self, keep: np.ndarray) -> "SampleBatch":
+        """The rows of `coords` where `keep` holds, each staying in its sample; the other fields stay."""
+        offsets = np.zeros_like(self.offsets)
+        np.cumsum(np.bincount(self.sample_ids()[keep], minlength=len(self)), out=offsets[1:])
+        return dataclasses.replace(self, coords=self.coords[keep], offsets=offsets)
+
     @cached_property
     def configurations(self) -> tuple[Configuration, ...]:
         """The samples as configurations, built on first access."""
@@ -249,9 +256,11 @@ class SampleBatch:
         )
 
 
-def restrict(config: Configuration, window: Window) -> Configuration:
-    """Sub-configuration of points lying in the closed window."""
+def restrict(config: Configuration | SampleBatch, window: Window) -> Configuration | SampleBatch:
+    """Sub-configuration of points lying in the closed window; per sample for a batch."""
     mask = window.contains(config.coords)
+    if isinstance(config, SampleBatch):
+        return config.subset(mask)
     return Configuration.from_coords(config.coords[mask], dimension=config.dimension)
 
 

@@ -199,6 +199,21 @@ class RenewalExponential(Kernel):
 # half-solve kernels: a closed form plus Schur-complement levels
 
 
+def _solve_lower(factor: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """L^{-1} S in place, for a Fortran-ordered lower factor L.
+
+    The LAPACK call that `scipy.linalg.solve_triangular(L, S, lower=True,
+    overwrite_b=True, check_finite=False)` makes, so the same bits, without
+    scipy's per-call validation, whose cost dominates a one-point solve.
+    """
+    if S.size == 0:
+        return np.empty_like(S)
+    out, info = scipy.linalg.lapack.dtrtrs(factor, S, lower=1, overwrite_b=1)
+    if info:
+        raise NumericalBreakdown(f"half-solve triangular solve failed (LAPACK info {info})")
+    return out
+
+
 class HalfSolveLevel(NamedTuple):
     """One Schur-complement level over a quadrature rule (see `HalfSolveKernel`)."""
 
@@ -261,7 +276,7 @@ class HalfSolveKernel:
                 else:
                     S -= tz.T @ tx
             S *= level.rule.sqrt_weights[:, None]
-            cols += (scipy.linalg.solve_triangular(level.factor, S, lower=True, check_finite=False, overwrite_b=True),)
+            cols += (_solve_lower(level.factor, S),)
         return cols
 
     def values(self, X: np.ndarray, Y: np.ndarray, TX=None, TY=None) -> np.ndarray:

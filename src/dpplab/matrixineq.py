@@ -151,9 +151,10 @@ class SuiteReport:
 
 
 def _dump_violation(dump_dir, name: str, index: int, A: np.ndarray, partition) -> str:
+    """Write one violating matrix; `index` counts trials within the matrix size, so the name has both."""
     os.makedirs(dump_dir, exist_ok=True)
-    path = os.path.join(dump_dir, f"violation_{name}_{index}.csv")
     m = A.shape[0]
+    path = os.path.join(dump_dir, f"violation_{name}_size{m}_{index}.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"name,{name}\n")
         fh.write(f"size,{m}\n")

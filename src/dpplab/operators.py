@@ -27,10 +27,14 @@ family's context on the operator's window; a closed-form K is a
 plus one level of sign +1 on the operator's rule, built once after the
 spectrum gate, so a query solves each level's columns of its points once.
 
-The spectrum gate (top eigenvalue below `SPECTRUM_GATE`) and the
-determinant formulas read eigenvalues only (`eigvalsh`); eigenvectors
-are computed only for the samplers and the spectral map of
-`local_interaction`.
+The spectrum gate asks for eigenvalues in (-NEGATIVE_TOLERANCE,
+SPECTRUM_GATE).  J_[Lambda] certifies it without an eigensolve: M + tau I
+(tau = NEGATIVE_TOLERANCE) and SPECTRUM_GATE I - M must both have Cholesky
+factors, found in place in the one buffer that then holds I - M for the
+level's own factor.  The determinant formulas, `local_interaction` and
+`interaction_diagonal_bound` need the spectrum anyway and read the gate
+from it (`eigvalsh`); eigenvectors are computed only for the samplers and
+the spectral map of `local_interaction`.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DomainError,
@@ -290,12 +295,44 @@ def _interaction(op: DiscretizedOperator) -> HalfSolveKernel:
     """
 
     def compute():
-        _gate(op)  # enforces the spectrum-below-one hypothesis
+        shifted = _certified_shift(op)  # enforces the spectrum-below-one hypothesis
         ctx = _k_context(op)
         node_columns = op._cached("node_columns", lambda: ctx.columns(op.quad.nodes))
-        return ctx.extend(op.quad, 1.0, np.eye(op.size) - op.matrix, node_columns)
+        return ctx.extend(op.quad, 1.0, shifted, node_columns)
 
     return op._cached("interaction", compute)
+
+
+def _certified_shift(op: DiscretizedOperator) -> np.ndarray:
+    """I - M in a new Fortran-ordered buffer, once Cholesky certifies the gate.
+
+    Every eigenvalue of M lies above -tau (tau = NEGATIVE_TOLERANCE; the
+    scale max(top, 1) of `clipped_eigenvalues` is 1 whenever the gate
+    holds) when M + tau I has a Cholesky factor, and below SPECTRUM_GATE
+    when SPECTRUM_GATE I - M has one.  Both are factored in place, the
+    negative side first as in `clipped_eigenvalues`.  A failed factorization
+    hands the verdict to `_gate`, which raises with the offending eigenvalue.
+    """
+    if op.kind != "K":
+        raise DomainError(f"spectral transform needs a correlation operator, got {op.kind}")
+    M = op.matrix
+    buf = np.empty_like(M, order="F")
+    diagonal = np.diag_indices(op.size)
+
+    def fill(shift: float, sign: float) -> np.ndarray:
+        # buf = shift I + sign M; I - M gets the bits of np.eye(n) - M
+        if sign > 0:
+            np.copyto(buf, M)
+        else:
+            np.subtract(0.0, M, out=buf)
+        buf[diagonal] += shift
+        return buf
+
+    for shift, sign in ((NEGATIVE_TOLERANCE, 1.0), (SPECTRUM_GATE, -1.0)):
+        if scipy.linalg.lapack.dpotrf(fill(shift, sign), lower=1, clean=0, overwrite_a=1)[1]:
+            _gate(op)
+            break
+    return fill(1.0, -1.0)
 
 
 def interaction_values(op: DiscretizedOperator, X, Y=None, *, blocks=None):

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DomainError
+from .errors import DomainError, DuplicatePoint
 from .geometry import Configuration, SampleBatch, Window
 
 
@@ -24,6 +24,10 @@ def close_pairs(points: Configuration | SampleBatch, link: float) -> np.ndarray:
     """
     coords = points.coords
     ids = points.sample_ids() if isinstance(points, SampleBatch) else np.zeros(len(coords))
+    return _close_pairs(coords, ids, link)
+
+
+def _close_pairs(coords: np.ndarray, ids: np.ndarray, link: float) -> np.ndarray:
     # an extra coordinate 2 * link apart per sample keeps samples out of each other's reach
     tree = cKDTree(np.column_stack([coords, 2.0 * link * ids]))
     pairs = tree.query_pairs(link * (1.0 + 1e-9), output_type="ndarray")
@@ -73,30 +77,50 @@ class ClusterDecomposition:
         return float(self.sizes().max() / self.n_points)
 
 
+def _link(radius: float) -> float:
+    """The distance that connects two balls of `radius`."""
+    if radius <= 0 or not np.isfinite(radius):
+        raise DomainError(f"radius must be positive and finite, got {radius}")
+    return 2.0 * radius
+
+
 def decompose(config: Configuration | SampleBatch, radius: float) -> ClusterDecomposition:
     """Cluster labels for balls of `radius` (distance <= 2*radius connects).
 
     For a batch, labels run over the stacked points of all samples; no
     cluster spans two samples.
     """
-    if radius <= 0 or not np.isfinite(radius):
-        raise DomainError(f"radius must be positive and finite, got {radius}")
     coords = config.coords
-    labels = _components(len(coords), close_pairs(config, 2.0 * radius))
+    labels = _components(len(coords), close_pairs(config, _link(radius)))
     return ClusterDecomposition(coords, float(radius), labels)
 
 
-def hull_of(added: Configuration, given: Configuration, radius: float) -> Configuration:
+def hull_of(
+    added: Configuration | SampleBatch, given: Configuration | SampleBatch, radius: float
+) -> Configuration | SampleBatch:
     """Points of `given` in Boolean clusters of added+given touching `added`.
 
     This is the configuration part of the hull W(added, given): the union
     of clusters of the joint Boolean model that contain an added point.
+    For two batches with the same number of samples it is the batch of
+    every sample's hull.  An added point may not repeat in `given`.
     """
-    joint = Configuration.from_coords(np.concatenate([added.coords, given.coords], axis=0))
-    dec = decompose(joint, radius)
-    is_added = np.any(np.all(joint.coords[:, None, :] == added.coords[None, :, :], axis=2), axis=1)
-    in_hull = np.isin(dec.labels, dec.labels[is_added]) & ~is_added
-    return Configuration.from_coords(joint.coords[in_hull], dimension=given.dimension)
+    coords = np.concatenate([added.coords, given.coords], axis=0)
+    if isinstance(given, SampleBatch):
+        if len(added) != len(given):
+            raise DomainError("added and given batches have different numbers of samples")
+        ids = np.concatenate([added.sample_ids(), given.sample_ids()])
+    else:
+        ids = np.zeros(len(coords))
+    pairs = _close_pairs(coords, ids, _link(radius))
+    if np.any(np.all(coords[pairs[:, 0]] == coords[pairs[:, 1]], axis=1)):
+        raise DuplicatePoint("an added point repeats in the given configuration")
+    labels = _components(len(coords), pairs)
+    # the added points are the first rows
+    in_hull = np.isin(labels[len(added.coords):], labels[: len(added.coords)])
+    if isinstance(given, SampleBatch):
+        return given.subset(in_hull)
+    return Configuration.from_coords(given.coords[in_hull], dimension=given.dimension)
 
 
 def spanning(

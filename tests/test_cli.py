@@ -1,9 +1,14 @@
 """Command-line interface: configs, outputs, exit codes."""
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dpplab
 from dpplab.cli import main
+from dpplab.experiments import _two_sample_chi2
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -140,3 +145,22 @@ class TestListing:
             "percolation-curve",
         ):
             assert expected in names
+
+
+class TestStartup:
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half the start-up time; only renewal-equivalence imports it
+        src = str(Path(dpplab.__file__).resolve().parent.parent)
+        probe = f"import sys; sys.path.insert(0, {src!r}); import dpplab, dpplab.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_chi2_p_value_is_scipy_stats_survival_function(self):
+        import scipy.stats
+
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a = rng.poisson(rng.uniform(1.0, 8.0), 400)
+            b = rng.poisson(rng.uniform(1.0, 8.0), 300)
+            stat, dof, p = _two_sample_chi2(a, b)
+            assert p == float(scipy.stats.chi2.sf(stat, dof))

@@ -393,6 +393,85 @@ class TestCandidatesAndClusters:
             cluster_intensity(SPEC, Configuration([(0.0,)]), Configuration([(1.0,)]))
 
 
+def _instances(count: int, seed: int):
+    """`count` (added, given) pairs on [0, 12]: 1 or 2 added points, 0 to 9 given ones."""
+    rng = np.random.default_rng(seed)
+    added, given = [], []
+    while len(added) < count:
+        a = 4.0 + 4.0 * rng.random((1 + int(rng.integers(0, 2)), 1))
+        g = 12.0 * rng.random((int(rng.integers(0, 10)), 1))
+        pts = np.concatenate([a, g])[:, 0]
+        if np.diff(np.sort(pts)).min(initial=1.0) > 1e-6:
+            added.append(a)
+            given.append(g)
+    domain = Window.interval(0.0, 12.0)
+    return (
+        SampleBatch.from_samples(domain, added, seed=seed, method="uniform"),
+        SampleBatch.from_samples(domain, given, seed=seed, method="uniform"),
+    )
+
+
+def _hull(a: np.ndarray, g: np.ndarray, link: float) -> np.ndarray:
+    """Given points linked to an added one by a chain of steps <= link (sorted, as in a batch)."""
+    inside = np.zeros(len(g), dtype=bool)
+    front = list(a[:, 0])
+    while front:
+        x = front.pop()
+        new = ~inside & (np.abs(g[:, 0] - x) <= link)
+        inside |= new
+        front += list(g[new, 0])
+    return g[inside]
+
+
+class TestBatchRatios:
+    """The batch forms against one `determinant_ratios` call per instance, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [SPEC, FR], ids=["renewal", "finite-range"])
+    def test_candidate_batch_is_the_single_ratios(self, spec):
+        added, given = _instances(200, 1)
+        window = Window.interval(5.0, 7.0)
+        got = candidate_intensity(spec, added, given, window)
+        assert len(got) == 200
+        empty = 0
+        for i, r in enumerate(got):
+            a = added.coords[added.offsets[i]:added.offsets[i + 1]]
+            g = given.coords[given.offsets[i]:given.offsets[i + 1]]
+            g = g[window.contains(g)]
+            empty += len(g) == 0
+            pts = np.concatenate([a, g])
+            assert r == determinant_ratios([spec.j_values(pts, pts)], [len(g)])[0]
+            if i < 20:
+                single = candidate_intensity(spec, Configuration.from_coords(a), Configuration.from_coords(g, 1), window)
+                assert single == r
+        assert empty > 10
+
+    def test_cluster_batch_is_the_single_ratios(self):
+        added, given = _instances(200, 2)
+        got = cluster_intensity(FR, added, given)
+        assert len(got) == 200
+        empty = 0
+        for i, r in enumerate(got):
+            a = added.coords[added.offsets[i]:added.offsets[i + 1]]
+            g = given.coords[given.offsets[i]:given.offsets[i + 1]]
+            hull = _hull(a, g, 2.0 * FR.declared_range)
+            empty += len(hull) == 0
+            pts = np.concatenate([a, hull])
+            assert r == determinant_ratios([FR.j_values(pts, pts)], [len(hull)])[0]
+            if i < 20:
+                assert cluster_intensity(FR, Configuration.from_coords(a), Configuration.from_coords(g, 1)) == r
+        assert empty > 0
+
+    def test_coincident_pair_in_one_sample_raises(self):
+        added, given = _instances(5, 3)
+        near = [given.coords[given.offsets[i]:given.offsets[i + 1]] for i in range(5)]
+        near[3] = np.concatenate([near[3], added.coords[added.offsets[3]:added.offsets[3] + 1] + 1e-13])
+        bad = SampleBatch.from_samples(given.window, near, seed=3, method="uniform")
+        with pytest.raises(DuplicatePoint):
+            candidate_intensity(SPEC, added, bad, given.window)
+        with pytest.raises(DuplicatePoint):
+            cluster_intensity(FR, added, bad)
+
+
 class TestConditionalKernel:
     def test_schur_matches_determinant_ratio(self):
         outer = Window.interval(0.0, 8.0)

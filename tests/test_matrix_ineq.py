@@ -1,4 +1,6 @@
 """Determinant inequalities and identities for PSD configuration matrices."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,18 @@ class TestSuites:
         # every dump names its check and parses as a numeric table
         content = dumped[0].read_text()
         assert "re(" in content.splitlines()[0] or "," in content.splitlines()[0]
+
+    def test_dumps_of_every_size_are_kept(self, tmp_path):
+        # trial indices restart at each matrix size; the file names must not
+        reports = psd_inequality_suite(140, 1, tol=-1.0, dump_dir=tmp_path)
+        assert len(reports["fischer"].dumps) == 70
+        paths = [path for rep in reports.values() for path in rep.dumps]
+        assert len(set(paths)) == len(paths)
+        for path in paths:
+            lines = Path(path).read_text().splitlines()
+            size = int(lines[1].split(",")[1])
+            assert len(lines) == 3 + size
+            assert all(len(row.split(",")) == 2 * size for row in lines[3:])
 
     def test_reproducible(self):
         a = psd_inequality_suite(200, seed=5)

@@ -7,12 +7,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dpplab.errors import DomainError, QuadratureMismatch, SingularOperator, SpectrumAtOne
+from dpplab import kernels
+from dpplab.errors import (
+    DomainError,
+    NumericalBreakdown,
+    QuadratureMismatch,
+    SingularOperator,
+    SpectrumAtOne,
+)
 from dpplab.geometry import Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
 from dpplab.operators import (
     COLUMN_CHUNK,
     DiscretizedOperator,
+    _certified_shift,
+    _gate,
+    _interaction,
     det_I_plus,
     discretize,
     discretize_on,
@@ -77,6 +87,63 @@ class TestDiscretization:
         hot = DiscretizedOperator(quad, 1.2 * np.eye(8), None, "K")
         with pytest.raises(SpectrumAtOne):
             fredholm_det_I_minus(hot)
+
+    @pytest.mark.parametrize(
+        "extreme, error",
+        [
+            (1.0 - 1e-9, SpectrumAtOne),
+            (1.0 - 1e-7, None),
+            (-1e-8, NumericalBreakdown),
+            (-1e-10, None),
+        ],
+    )
+    def test_cholesky_gate_agrees_with_eigenvalues(self, monkeypatch, extreme, error):
+        # an operator with a chosen top (or bottom) eigenvalue, the rest in (0, 0.9)
+        n = 40
+        rng = np.random.default_rng(11)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        vals = np.concatenate([[extreme], rng.uniform(0.0, 0.9, n - 1)])
+        quad = tensor_gauss_legendre(Window.interval(0.0, 1.0), n)
+
+        def fresh():
+            return DiscretizedOperator(quad, (Q * vals) @ Q.T, SPEC, "K")
+
+        infos = []
+        potrf = scipy.linalg.lapack.dpotrf
+
+        def recorded(*args, **kwargs):
+            out = potrf(*args, **kwargs)
+            infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recorded)
+        if error is None:
+            op = fresh()
+            shifted = _certified_shift(op)
+            assert infos == [0, 0]
+            assert shifted.flags.f_contiguous
+            assert np.array_equal(shifted, np.eye(n) - op.matrix)
+            _gate(fresh())
+        else:
+            with pytest.raises(error):
+                _certified_shift(fresh())
+            assert infos[-1] > 0  # the factorization, not only the eigenvalues, refused
+            with pytest.raises(error):
+                _gate(fresh())
+
+    def test_interaction_values_needs_no_eigensolve(self, monkeypatch):
+        ops = [discretize(spec, "K", Window.interval(0.0, 6.0), 100) for spec in (SPEC, FiniteRangeFourier(1.0, 0.8))]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for op in ops:
+            interaction_values(op, np.array([[1.0], [2.5]]))
+        assert calls == []
 
     def test_dimension_and_kind_guards(self):
         with pytest.raises(DomainError):
@@ -262,18 +329,36 @@ class TestHalfSolveForm:
         offsets = np.arange(0, 2401, 6)
         interaction_values(disc, X[:6])  # gate and J_[Lambda] first
         calls = []
-        solve = scipy.linalg.solve_triangular
+        solve = scipy.linalg.lapack.dtrtrs
 
         def counted(*args, **kwargs):
             calls.append(args[1].shape[1])
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve_triangular", counted)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", counted)
         blocks = interaction_values(disc, X, blocks=offsets)
         assert len(blocks) == 400
         runs = math.ceil(400 / (COLUMN_CHUNK // 6))
         assert len(calls) == 2 * runs
         assert sum(calls) == 2 * 2400
+
+    @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES[:2])
+    @pytest.mark.parametrize("count", [0, 1, 600])
+    def test_columns_match_solve_triangular(self, monkeypatch, spec, window, n, count):
+        # the direct LAPACK solve gives the bits of scipy's validated one
+        J = _interaction(discretize(spec, "K", window, n))
+        X = window.lower[0] + window.sides[0] * np.random.default_rng(12).random((count, 1))
+        got = J.columns(X)
+
+        def validated(factor, S):
+            return scipy.linalg.solve_triangular(factor, S, lower=True, check_finite=False, overwrite_b=True)
+
+        monkeypatch.setattr(kernels, "_solve_lower", validated)
+        want = J.columns(X)
+        assert len(got) == len(want) == len(J.levels)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (b.shape[0], count)
+            assert np.array_equal(a, b)
 
     def test_derived_values_ignore_query_order(self):
         # bare k_values calls build throwaway contexts; an operator keeps its own
