@@ -315,16 +315,17 @@ def _certified_shift(op: DiscretizedOperator) -> np.ndarray:
     """
     if op.kind != "K":
         raise DomainError(f"spectral transform needs a correlation operator, got {op.kind}")
-    M = op.matrix
-    buf = np.empty_like(M, order="F")
+    # M is exactly symmetric, so its transpose fills the Fortran buffer in memory order
+    MT = op.matrix.T
+    buf = np.empty_like(MT)
     diagonal = np.diag_indices(op.size)
 
     def fill(shift: float, sign: float) -> np.ndarray:
         # buf = shift I + sign M; I - M gets the bits of np.eye(n) - M
         if sign > 0:
-            np.copyto(buf, M)
+            np.copyto(buf, MT)
         else:
-            np.subtract(0.0, M, out=buf)
+            np.subtract(0.0, MT, out=buf)
         buf[diagonal] += shift
         return buf
 
