@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--threads", type=int, default=1, help="accepted for compatibility; ignored"
     )
-    run.add_argument("--verbose", action="store_true", help="print every check line")
+    run.add_argument("--verbose", action="store_true", help="print passing check lines too")
     sub.add_parser("list-experiments", help="list experiment names and summaries")
     return parser
 
@@ -102,12 +102,14 @@ def main(argv=None) -> int:
     except DppLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.verbose:
-        for c in result.checks:
+    for c in result.checks:
+        if args.verbose or not c.passed:
             print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.observed}")
     good = sum(c.passed for c in result.checks)
     verdict = "PASS" if result.passed else "FAIL"
     print(f"{name}: {verdict} ({good}/{len(result.checks)} checks), outputs in {out_dir}")
+    if not result.passed:
+        print(f"rerun with --seed {seed}")
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 

@@ -164,16 +164,36 @@ class Check:
     requirement: str
 
 
+def _margin_check(name: str, margins, tol: float) -> Check:
+    """No margin below -tol, and no NaN margin.
+
+    A failing check names the index of the worst margin's instance, the i
+    of `stream(_subseed(seed, salt), i)` where a runner draws instance i.
+    """
+    margins = np.asarray(margins, dtype=float)
+    bad = int(np.sum(~(margins >= -tol)))
+    observed = f"{bad} violations in {margins.size} (worst {margins.min():.3e})"
+    if bad:
+        observed += f" at instance {int(np.argmin(margins))}"
+    return Check(name, bad == 0, observed, f"0 violations at tolerance {tol:g}")
+
+
+def _z_check(name: str, observed: str, z: float, limit: float) -> Check:
+    """|z| <= limit, with z appended to the observed text."""
+    return Check(name, abs(z) <= limit, f"{observed} (z = {z:+.2f})", f"|z| <= {limit:g}")
+
+
 @dataclass
 class ExperimentResult:
-    name: str
-    seed: int
     checks: list[Check]
     header: list[str]
     rows: list[list]
     series: list[Series] = field(default_factory=list)
     xlabel: str = ""
     ylabel: str = ""
+    # set by run_experiment
+    name: str = ""
+    seed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -256,8 +276,9 @@ def run_experiment(
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown experiment {name!r}; available: {known}")
-    p = Params(name, params_cfg)
-    return REGISTRY[name].runner(kernel_cfg, p, int(seed), out_dir)
+    result = REGISTRY[name].runner(kernel_cfg, Params(name, params_cfg), int(seed), out_dir)
+    result.name, result.seed = name, int(seed)
+    return result
 
 
 def _downsample(values: np.ndarray, limit: int = 400) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +333,6 @@ def _run_matrix_suite(kernel_cfg, p: Params, seed, out_dir):
         )
     ]
     return ExperimentResult(
-        name="matrix-ineq-suite",
-        seed=seed,
         checks=checks,
         header=header,
         rows=rows,
@@ -370,15 +389,26 @@ def _cpi_family_run(spec: Kernel, window: Window, n: int, instances: int, seed: 
     return mono, bound
 
 
-def _zero_violations(name: str, margins: np.ndarray, tol: float) -> Check:
-    """Check that no margin falls below -tol."""
-    bad = int(np.sum(margins < -tol))
-    return Check(
-        name=name,
-        passed=bad == 0,
-        observed=f"{bad} violations in {margins.size} (worst {margins.min():.3e})",
-        requirement=f"0 violations at tolerance {tol:g}",
-    )
+def _families(p: Params, window_renewal: float, nodes_renewal: int) -> list[tuple]:
+    """(label, spec, window, nodes, salt) of the renewal and finite-range cases.
+
+    Reads the shared keys after the runner's own and rejects unknown ones.
+    """
+    rho = p.get_float("rho", 0.25)
+    a = p.get_float("a", 1.0)
+    len_renewal = p.get_float("window_renewal", window_renewal, positive=True)
+    len_fr = p.get_float("window_finite_range", 6.0, positive=True)
+    n1 = p.get_int("nodes_renewal", nodes_renewal, minimum=8)
+    n2 = p.get_int("nodes_finite_range", 100, minimum=8)
+    p.reject_unknown()
+    try:
+        renewal_spec = RenewalExponential(rho, a)
+    except ParameterOutOfRange as exc:
+        raise ConfigError(f"{p.owner}: {exc}") from exc
+    return [
+        ("renewal", renewal_spec, Window.interval(0.0, len_renewal), n1, 1),
+        ("finite-range", FiniteRangeFourier(1.0, 0.8, dimension=1), Window.interval(0.0, len_fr), n2, 2),
+    ]
 
 
 @_register(
@@ -391,30 +421,11 @@ def _run_cpi_monotonicity(kernel_cfg, p: Params, seed, out_dir):
     instances = p.get_int("instances", 400, minimum=1)
     tol = p.get_float("tolerance", 1e-9, positive=True)
     max_points = p.get_int("max_points", 8, minimum=2)
-    n1 = p.get_int("nodes_renewal", 120, minimum=8)
-    n2 = p.get_int("nodes_finite_range", 100, minimum=8)
-    rho = p.get_float("rho", 0.25)
-    a = p.get_float("a", 1.0)
-    rng_len = p.get_float("window_renewal", 8.0, positive=True)
-    fr_len = p.get_float("window_finite_range", 6.0, positive=True)
-    p.reject_unknown()
-
-    cases = [
-        ("renewal", RenewalExponential(rho, a), Window.interval(0.0, rng_len), n1, 1),
-        (
-            "finite-range",
-            FiniteRangeFourier(1.0, 0.8, dimension=1),
-            Window.interval(0.0, fr_len),
-            n2,
-            2,
-        ),
-    ]
-    checks, rows = [], []
-    series = []
-    for label, spec, window, n, salt in cases:
+    checks, rows, series = [], [], []
+    for label, spec, window, n, salt in _families(p, window_renewal=8.0, nodes_renewal=120):
         mono, bound = _cpi_family_run(spec, window, n, instances, seed, salt, max_points)
-        checks.append(_zero_violations(f"{label}: monotone under conditioning", mono, tol))
-        checks.append(_zero_violations(f"{label}: diagonal bound", bound, tol))
+        checks.append(_margin_check(f"{label}: monotone under conditioning", mono, tol))
+        checks.append(_margin_check(f"{label}: diagonal bound", bound, tol))
         rows.append([
             label,
             instances,
@@ -428,8 +439,6 @@ def _run_cpi_monotonicity(kernel_cfg, p: Params, seed, out_dir):
         qx, qy = _downsample(bound)
         series.append(Series(x=list(qx), y=list(qy), label=f"{label} bound", markers=False))
     return ExperimentResult(
-        name="cpi-monotonicity",
-        seed=seed,
         checks=checks,
         header=[
             "family",
@@ -509,8 +518,6 @@ def _run_janossy(kernel_cfg, p: Params, seed, out_dir):
             Series(x=[0, res.terms_used], y=[res.total, res.total], label=label, markers=True)
         )
     return ExperimentResult(
-        name="janossy-normalization",
-        seed=seed,
         checks=checks,
         header=[
             "case",
@@ -599,28 +606,25 @@ def _run_sampler_validation(kernel_cfg, p: Params, seed, out_dir):
     pairs = np.bincount(batch.sample_ids()[near[:, 0]], minlength=len(batch))
     empty = (counts == 0).astype(float)
 
-    def zcheck(name, sample, truth):
+    checks, zs = [], []
+    for name, sample, truth in [
+        ("intensity: mean count", counts, expected_n),
+        (f"pair counts within r={pair_r:g}", pairs, expected_pairs),
+        ("vacuum frequency", empty, vacuum),
+    ]:
         se = float(np.std(sample, ddof=1) / math.sqrt(len(sample)))
         z = (float(np.mean(sample)) - truth) / se if se > 0 else 0.0
-        return Check(
-            name=name,
-            passed=abs(z) <= z_limit,
-            observed=f"mean {np.mean(sample):.6f} vs {truth:.6f} (z = {z:+.2f})",
-            requirement=f"|z| <= {z_limit:g}",
-        ), z
-
-    c1, z1 = zcheck("intensity: mean count", counts, expected_n)
-    c2, z2 = zcheck(f"pair counts within r={pair_r:g}", pairs, expected_pairs)
-    c3, z3 = zcheck("vacuum frequency", empty, vacuum)
+        zs.append(z)
+        checks.append(_z_check(name, f"mean {np.mean(sample):.6f} vs {truth:.6f}", z, z_limit))
 
     bd = sample_dpp_birth_death(spec, window, n, m_bd, _subseed(seed, 2), disc=disc)
     stat, dof, pval = _two_sample_chi2(counts, bd.counts())
-    c4 = Check(
+    checks.append(Check(
         name="birth-death vs spectral count law",
         passed=pval > p_floor,
         observed=f"chi2 {stat:.2f} on {dof} dof, p = {pval:.4f}",
         requirement=f"p > {p_floor:g}",
-    )
+    ))
 
     hi = int(max(counts.max(initial=0), bd.counts().max(initial=0)))
     hist_s = np.bincount(counts, minlength=hi + 1) / len(counts)
@@ -628,18 +632,14 @@ def _run_sampler_validation(kernel_cfg, p: Params, seed, out_dir):
     rows = [
         [k, float(hist_s[k]), float(hist_b[k])] for k in range(hi + 1)
     ]
-    rows.append(["z_intensity", z1, 0.0])
-    rows.append(["z_pairs", z2, 0.0])
-    rows.append(["z_vacuum", z3, 0.0])
+    rows += [[f"z_{key}", z, 0.0] for key, z in zip(("intensity", "pairs", "vacuum"), zs)]
     rows.append(["chi2_p", pval, 0.0])
     series = [
         Series(x=list(range(hi + 1)), y=list(hist_s), label="spectral"),
         Series(x=list(range(hi + 1)), y=list(hist_b), label="birth-death"),
     ]
     return ExperimentResult(
-        name="sampler-validation",
-        seed=seed,
-        checks=[c1, c2, c3, c4],
+        checks=checks,
         header=["count_or_stat", "spectral", "birth_death"],
         rows=rows,
         series=series,
@@ -662,26 +662,8 @@ def _run_domination(kernel_cfg, p: Params, seed, out_dir):
     _no_kernel(kernel_cfg, "domination")
     count = p.get_int("samples", 3000, minimum=100)
     z_limit = p.get_float("z_limit", 3.0, positive=True)
-    rho = p.get_float("rho", 0.25)
-    a = p.get_float("a", 1.0)
-    len_renewal = p.get_float("window_renewal", 10.0, positive=True)
-    len_fr = p.get_float("window_finite_range", 6.0, positive=True)
-    n1 = p.get_int("nodes_renewal", 140, minimum=8)
-    n2 = p.get_int("nodes_finite_range", 100, minimum=8)
-    p.reject_unknown()
-
-    cases = [
-        ("renewal", RenewalExponential(rho, a), Window.interval(0.0, len_renewal), n1, 1),
-        (
-            "finite-range",
-            FiniteRangeFourier(1.0, 0.8, dimension=1),
-            Window.interval(0.0, len_fr),
-            n2,
-            2,
-        ),
-    ]
     checks, rows, series = [], [], []
-    for idx, (label, spec, window, n, salt) in enumerate(cases):
+    for label, spec, window, n, salt in _families(p, window_renewal=10.0, nodes_renewal=140):
         zdiag = spec.interaction_diagonal
         dpp = sample_dpp_spectral(spec, window, n, count, _subseed(seed, salt))
         poi = sample_poisson(zdiag, zdiag, window, count, _subseed(seed, salt + 10))
@@ -716,8 +698,6 @@ def _run_domination(kernel_cfg, p: Params, seed, out_dir):
             )
         )
     return ExperimentResult(
-        name="domination",
-        seed=seed,
         checks=checks,
         header=["family", "statistic", "dpp_mean", "poisson_mean", "se_diff", "z"],
         rows=rows,
@@ -775,16 +755,7 @@ def _run_vacuum_correlation(kernel_cfg, p: Params, seed, out_dir):
         margin = (vac_a * vac_b - vac_u) / max(1.0, vac_a * vac_b)
         margins.append(margin)
         rows.append([k, wa.lower[0], wa.upper[0], wb.lower[0], wb.upper[0], vac_a, vac_b, vac_u, margin])
-    margins = np.array(margins)
-    bad = int(np.sum(margins < -tol))
-    checks = [
-        Check(
-            name="vacuum subadditivity over disjoint windows",
-            passed=bad == 0,
-            observed=f"{bad} violations in {pairs} pairs (worst margin {margins.min():.3e})",
-            requirement=f"0 violations at tolerance {tol:g}",
-        )
-    ]
+    checks = [_margin_check("vacuum subadditivity over disjoint windows", margins, tol)]
 
     series = [
         Series(x=list(range(pairs)), y=list(margins), label="normalized deficit", markers=False)
@@ -804,18 +775,12 @@ def _run_vacuum_correlation(kernel_cfg, p: Params, seed, out_dir):
             freq = float(both_empty.mean())
             se = math.sqrt(max(freq * (1 - freq), 1e-12) / mc_samples)
             z = (freq - truth) / se
-            checks.append(
-                Check(
-                    name=f"joint vacuum frequency, pair {j}",
-                    passed=abs(z) <= z_limit,
-                    observed=f"frequency {freq:.5f} vs determinant {truth:.5f} (z = {z:+.2f})",
-                    requirement=f"|z| <= {z_limit:g}",
-                )
-            )
+            checks.append(_z_check(
+                f"joint vacuum frequency, pair {j}",
+                f"frequency {freq:.5f} vs determinant {truth:.5f}", z, z_limit,
+            ))
             rows.append([f"mc_pair_{j}", wa.lower[0], wa.upper[0], wb.lower[0], wb.upper[0], freq, truth, se, z])
     return ExperimentResult(
-        name="vacuum-correlation",
-        seed=seed,
         checks=checks,
         header=[
             "row",
@@ -913,12 +878,7 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, out_dir):
             observed=f"max |difference| {errs.max():.3e} over {instances} instances",
             requirement=f"< {tol:g}",
         ),
-        Check(
-            name="candidate sequence is non-increasing",
-            passed=bool(monos.min() >= -mono_tol),
-            observed=f"worst forward step {monos.min():.3e}",
-            requirement=f">= -{mono_tol:g}",
-        ),
+        _margin_check("candidate sequence is non-increasing", monos, mono_tol),
         Check(
             name="candidate at the full domain equals the closed form",
             passed=bool(routes.max() <= route_tol),
@@ -938,8 +898,6 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, out_dir):
         )
     ]
     return ExperimentResult(
-        name="cpi-limit",
-        seed=seed,
         checks=checks,
         header=["window_length", "mean_abs_error", "max_abs_error"],
         rows=rows,
@@ -1009,20 +967,13 @@ def _run_cluster_formula(kernel_cfg, p: Params, seed, out_dir):
             observed=f"max relative gap {errs.max():.3e} over {instances} instances",
             requirement=f"< {tol:g}",
         ),
-        Check(
-            name="candidate ladder is non-increasing",
-            passed=bool(monos.min() >= -mono_tol),
-            observed=f"worst forward step {monos.min():.3e}",
-            requirement=f">= -{mono_tol:g}",
-        ),
+        _margin_check("candidate ladder is non-increasing", monos, mono_tol),
     ]
     qx, qy = _downsample(errs)
     series = [Series(x=list(qx), y=list(np.maximum(qy, 1e-18)), label="relative gap", markers=False)]
     counts = given.counts()
     rows = [[i, counts[i], cluster[i], cand[i, -1], errs[i]] for i in range(min(instances, 2000))]
     return ExperimentResult(
-        name="cluster-formula",
-        seed=seed,
         checks=checks,
         header=["instance", "given_points", "cluster_value", "candidate_value", "relative_gap"],
         rows=rows,
@@ -1099,8 +1050,6 @@ def _run_renewal_equivalence(kernel_cfg, p: Params, seed, out_dir):
         Series(x=list(grid), y=list(closed), label="closed form", markers=False),
     ]
     return ExperimentResult(
-        name="renewal-equivalence",
-        seed=seed,
         checks=checks,
         header=["spacing", "empirical_cdf", "closed_form_cdf"],
         rows=rows,
@@ -1179,8 +1128,6 @@ def _run_percolation_curve(kernel_cfg, p: Params, seed, out_dir):
         Series(x=list(lengths), y=p_poi, yerr=se_poi, label="Poisson"),
     ]
     return ExperimentResult(
-        name="percolation-curve",
-        seed=seed,
         checks=checks,
         header=["window_length", "dpp_spanning", "dpp_se", "poisson_spanning", "poisson_se"],
         rows=rows,

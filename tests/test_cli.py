@@ -31,6 +31,21 @@ class TestRun:
         assert "FAIL" not in summary.replace("PASS/FAIL", "")
         stdout = capsys.readouterr().out
         assert "matrix-ineq-suite" in stdout and "PASS" in stdout
+        assert "FAIL" not in stdout and "rerun" not in stdout
+
+    def test_failing_run_names_failed_checks_and_seed(self, tmp_path, capsys):
+        # at seed 147 the pair-count z check fails by chance (z = -3.11)
+        argv = ["run", str(EXAMPLES / "sampler-validation.ini"), "--seed", "147", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL pair counts within r=0.75: ")
+        assert lines[0].endswith("(z = -3.11)")
+        assert lines[1].startswith("sampler-validation: FAIL (3/4 checks)")
+        assert lines[2:] == ["rerun with --seed 147"]
+        # --verbose adds the passing lines
+        assert main(argv + ["--verbose"]) == 1
+        tags = [line.split()[0] for line in capsys.readouterr().out.splitlines()[:4]]
+        assert sorted(tags) == ["FAIL", "PASS", "PASS", "PASS"]
 
     @pytest.mark.parametrize(
         "name, params",
@@ -97,6 +112,12 @@ class TestExitCodes:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "rho" in err and "a/2" in err
+
+    def test_supercritical_params_rho_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[experiment]\nname = domination\n\n[params]\nrho = 0.6\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: domination: ") and "rho" in err
 
     def test_unknown_experiment(self, tmp_path, capsys):
         cfg = write(tmp_path, "[experiment]\nname = nope\n")
