@@ -13,56 +13,38 @@ from .errors import (
     DomainError,
     DppLabError,
     DuplicatePoint,
-    NoClosedForm,
     NoFiniteRange,
     NotPSD,
     NumericalBreakdown,
     ParameterOutOfRange,
-    QuadratureMismatch,
     SingularBlock,
-    SingularOperator,
     SpectrumAtOne,
-    ZeroDenominator,
 )
-from .geometry import Configuration, Window, count_in, restrict, union
+from .geometry import Configuration, Window, count_in, restrict
 from .quadrature import Quadrature, tensor_gauss_legendre
 from .kernels import (
     FiniteRangeFourier,
     Kernel,
-    Modulated,
     RenewalClosedForms,
     RenewalExponential,
-    estimate_operator_norm,
-    eval_J,
-    eval_K,
     renewal_closed_forms,
 )
 from .operators import (
     DiscretizedOperator,
-    det_I_plus,
     discretize,
     discretize_on,
     fredholm_det_I_minus,
     interaction_diagonal,
     interaction_diagonal_bound,
     interaction_values,
-    local_interaction,
-    loewner_gap,
-    operator_leq,
     operator_trace,
-    projection_inversion_gap,
-    restrict_interaction,
 )
 from .densities import (
-    ConditionalKernel,
     DeterminantRatio,
     NormalizationResult,
     candidate_intensity,
-    candidate_sequence,
-    chain_rule_product,
     cluster_intensity,
     compound_intensity,
-    conditional_kernel,
     correlation,
     determinant_ratios,
     janossy_density,
@@ -83,7 +65,6 @@ from .percolation import (
     ClusterDecomposition,
     decompose,
     hull_of,
-    percolation_curve,
     spanning,
 )
 from .experiments import REGISTRY, run_experiment, write_outputs

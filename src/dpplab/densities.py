@@ -6,8 +6,7 @@ Everything here reduces to determinants of kernel matrices:
 * Janossy densities      det(I - K_Lambda) * det J_[Lambda](xi, xi),
 * compound Papangelou intensities as ratios of interaction determinants,
 * the candidate global intensity from growing windows and its
-  finite-range cluster factorization,
-* the conditional interaction kernel given an outside configuration.
+  finite-range cluster factorization.
 
 Ratios are carried in log space; a denominator whose determinant
 underflows (or is singular) makes the ratio 0 by convention.
@@ -21,15 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    DuplicatePoint,
-    NoFiniteRange,
-    NumericalBreakdown,
-    ZeroDenominator,
-)
-from .geometry import Configuration, SampleBatch, Window, restrict, union
+from .errors import DimensionMismatch, DomainError, DuplicatePoint, NoFiniteRange, NumericalBreakdown
+from .geometry import Configuration, SampleBatch, Window, restrict
 from .kernels import Kernel
 from .operators import (
     DiscretizedOperator,
@@ -50,6 +42,8 @@ COINCIDENCE = 1e-12
 RCOND_EXACT = 1e-4
 # exact elimination is O(n^3) big-rational work; past this size keep float64
 EXACT_SIZE_LIMIT = 24
+# most terms of the Janossy expansion that `janossy_normalization` sums
+MAX_TERMS = 160
 
 
 @dataclass(frozen=True)
@@ -273,30 +267,6 @@ def compound_intensity(
     return determinant_ratios(blocks, given.counts())
 
 
-def chain_rule_product(
-    spec: Kernel,
-    window: Window,
-    n: int,
-    added: Configuration,
-    given: Configuration,
-    *,
-    disc: DiscretizedOperator | None = None,
-) -> float:
-    """Product of one-point intensities c(x_i | x_1..x_{i-1}, given).
-
-    Telescopes to the compound intensity; kept as an independent route
-    for tests.
-    """
-    disc = disc or discretize(spec, "K", window, n)
-    total = 1.0
-    acc = given
-    for pt in added:
-        one = Configuration([pt])
-        total *= compound_intensity(spec, window, n, one, acc, disc=disc).value
-        acc = union(acc, one)
-    return total
-
-
 def candidate_intensity(
     spec: Kernel,
     added: Configuration | SampleBatch,
@@ -314,22 +284,6 @@ def candidate_intensity(
     if isinstance(added, Configuration):
         return candidate_intensity(spec, _one_sample(added), _one_sample(given), window)[0]
     return _closed_form_ratios(spec, added, restrict(given, window))
-
-
-def candidate_sequence(
-    spec: Kernel,
-    added: Configuration,
-    given: Configuration,
-    windows: Sequence[Window],
-) -> np.ndarray:
-    """Candidate-intensity values along a growing window sequence.
-
-    Non-increasing in exact arithmetic; the limit (when positive and
-    continuous) is the global compound Papangelou intensity.
-    """
-    return np.array(
-        [candidate_intensity(spec, added, given, w).value for w in windows]
-    )
 
 
 def cluster_intensity(
@@ -352,80 +306,6 @@ def cluster_intensity(
     return _closed_form_ratios(spec, added, percolation.hull_of(added, given, spec.declared_range))
 
 
-class ConditionalKernel:
-    """Interaction kernel of the conditional process on an inner window.
-
-    Given an outside configuration xi in Delta - Lambda, the kernel is
-
-        J^xi(x, y) = det J_[Delta](x xi, y xi) / det J_[Delta](xi, xi),
-
-    evaluated through its Schur-complement form
-    J(x,y) - J(x,xi) J(xi,xi)^{-1} J(xi,y) (the bordered determinant-ratio
-    identity); tests verify both routes agree.
-    """
-
-    def __init__(
-        self,
-        spec: Kernel,
-        inner: Window,
-        outer: Window,
-        n: int,
-        given: Configuration,
-        *,
-        disc: DiscretizedOperator | None = None,
-    ):
-        for lo_i, hi_i, lo_o, hi_o in zip(inner.lower, inner.upper, outer.lower, outer.upper):
-            if lo_i < lo_o or hi_i > hi_o:
-                raise DomainError("inner window must sit inside the outer window")
-        _check_in_window(given, outer, "given")
-        if len(given) and np.any(inner.contains(given.coords)):
-            raise DomainError("given configuration must avoid the inner window")
-        _check_simple(given)
-        self.spec = spec
-        self.inner = inner
-        self.outer = outer
-        self.given = given
-        self.disc = disc or discretize(spec, "K", outer, n)
-        if len(given):
-            block = interaction_values(self.disc, given.coords)
-            self.denominator_logdet = psd_logdet(block)
-            if np.isneginf(self.denominator_logdet):
-                raise ZeroDenominator("det J_[Delta](given, given) vanishes")
-            self._block_inv = np.linalg.inv(block)
-        else:
-            self._block_inv = None
-            self.denominator_logdet = 0.0
-
-    def values(self, X, Y=None) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Yarr = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
-        for pts in (X, Yarr):
-            if not np.all(self.inner.contains(pts)):
-                raise DomainError("evaluation points must lie in the inner window")
-        jxy = interaction_values(self.disc, X, None if Y is None else Yarr)
-        if self._block_inv is None:
-            return jxy
-        jxg = interaction_values(self.disc, X, self.given.coords)
-        jgy = jxg.T if Y is None else interaction_values(self.disc, self.given.coords, Yarr)
-        return jxy - jxg @ self._block_inv @ jgy
-
-    def matrix(self, config: Configuration) -> np.ndarray:
-        _check_simple(config)
-        return self.values(config.coords)
-
-
-def conditional_kernel(
-    spec: Kernel,
-    inner: Window,
-    outer: Window,
-    n: int,
-    given: Configuration,
-    *,
-    disc: DiscretizedOperator | None = None,
-) -> ConditionalKernel:
-    return ConditionalKernel(spec, inner, outer, n, given, disc=disc)
-
-
 @dataclass(frozen=True)
 class NormalizationResult:
     """Truncated Janossy-integral sum and the first omitted term."""
@@ -441,10 +321,8 @@ def janossy_normalization(
     n: int,
     *,
     term_tolerance: float = 1e-8,
-    max_terms: int | None = None,
     disc: DiscretizedOperator | None = None,
     integration_nodes: int | None = None,
-    integration_panels: int | None = None,
 ) -> NormalizationResult:
     """Truncated sum over m of the m-fold Janossy integrals on the window.
 
@@ -453,7 +331,7 @@ def janossy_normalization(
     matrix's eigenvalues (tuples with repeated nodes have zero
     determinant), so the sum is accumulated through the stable e_m
     recurrence.  Truncation stops once the terms are past their peak and
-    the next one falls below `term_tolerance`.
+    the next one falls below `term_tolerance`, or after MAX_TERMS terms.
 
     By default the integrals reuse the operator's own rule, with the
     interaction values produced by the resolvent (Cholesky) route rather
@@ -465,16 +343,14 @@ def janossy_normalization(
     disc = disc or discretize(spec, "K", window, n)
     vacuum = fredholm_det_I_minus(disc)
     if integration_nodes is not None:
-        rule = tensor_gauss_legendre(window, integration_nodes, panels=integration_panels)
+        rule = tensor_gauss_legendre(window, integration_nodes)
     else:
         rule = disc.quad
     jmat = interaction_values(disc, rule.nodes)
     sw = rule.sqrt_weights
     weighted = DiscretizedOperator(rule, jmat * np.outer(sw, sw), spec, "J_local")
     nu = weighted.clipped_eigenvalues()
-    if max_terms is None:
-        max_terms = min(nu.size, 160)
-    max_terms = min(max_terms, nu.size)
+    max_terms = min(nu.size, MAX_TERMS)
     # e_m recurrence: after absorbing each eigenvalue, e[m] += nu * e[m-1]
     e = np.zeros(max_terms + 1)
     e[0] = 1.0

@@ -17,20 +17,8 @@ class ParameterOutOfRange(DppLabError):
     """Kernel parameters outside the admissible region."""
 
 
-class NoClosedForm(DppLabError):
-    """A closed-form quantity was requested from a kernel that lacks it."""
-
-
 class SpectrumAtOne(DppLabError):
     """Discretized correlation operator has an eigenvalue at or above 1."""
-
-
-class QuadratureMismatch(DppLabError):
-    """Two discretized operators do not share the same quadrature rule."""
-
-
-class SingularOperator(DppLabError):
-    """Operator (numerically) singular where strict positivity is required."""
 
 
 class NotPSD(DppLabError):
@@ -39,10 +27,6 @@ class NotPSD(DppLabError):
 
 class SingularBlock(DppLabError):
     """Pivot block too ill-conditioned for a determinant-ratio identity."""
-
-
-class ZeroDenominator(DppLabError):
-    """Denominator determinant vanishes where a finite value is required."""
 
 
 class NoFiniteRange(DppLabError):

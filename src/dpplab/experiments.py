@@ -826,6 +826,11 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, out_dir):
     p.reject_unknown()
     if max(ladder) > domain_len + 1e-12:
         raise ConfigError("cpi-limit: window_lengths cannot exceed the domain")
+    # the added point is drawn within domain / 10 of the center, so every window must hold that span
+    if min(ladder) < domain_len / 5.0 - 1e-12:
+        raise ConfigError(
+            f"cpi-limit: window_lengths must be at least domain / 5 = {domain_len / 5.0:g}, got {min(ladder):g}"
+        )
 
     forms = spec.forms
     center = domain_len / 2.0

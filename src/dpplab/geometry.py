@@ -1,15 +1,12 @@
 """Points, finite configurations, sample batches, and rectangular windows.
 
 Configurations are finite simple point sets in dimension 1 or 2, stored
-in lexicographic order so that equality, hashing, and CSV round-trips are
-canonical.  A sample batch stacks many configurations on one window into
+in lexicographic order so that equality and hashing are canonical.  A sample batch stacks many configurations on one window into
 a single ragged array.  Windows are closed axis-aligned boxes.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -264,14 +261,6 @@ def restrict(config: Configuration | SampleBatch, window: Window) -> Configurati
     return Configuration.from_coords(config.coords[mask], dimension=config.dimension)
 
 
-def union(a: Configuration, b: Configuration) -> Configuration:
-    """Disjoint union of two configurations; overlap raises DuplicatePoint."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch("configurations of different dimension")
-    merged = np.concatenate([a.coords, b.coords], axis=0)
-    return Configuration.from_coords(merged, dimension=a.dimension)
-
-
 def count_in(config: Configuration | SampleBatch, window: Window) -> int | np.ndarray:
     """Number of points inside the closed window; per sample (an array) for a batch."""
     inside = window.contains(config.coords)
@@ -279,49 +268,3 @@ def count_in(config: Configuration | SampleBatch, window: Window) -> int | np.nd
         return int(np.sum(inside))
     return np.bincount(config.sample_ids()[inside], minlength=len(config))
 
-
-_HEADERS = {1: ["x"], 2: ["x", "y"]}
-
-
-def to_csv(config: Configuration) -> str:
-    """Serialize one configuration: header row `x` or `x,y`, one point per row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_HEADERS[config.dimension])
-    for row in config.coords:
-        writer.writerow([f"{c:.17g}" for c in row])
-    return buf.getvalue()
-
-
-def from_csv(text: str) -> Configuration:
-    """Parse the serialization produced by `to_csv`."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DomainError("empty CSV: missing header row")
-    header = [h.strip() for h in header]
-    if header not in (_HEADERS[1], _HEADERS[2]):
-        raise DomainError(f"unrecognized configuration header: {header}")
-    d = len(header)
-    points = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != d:
-            raise DimensionMismatch(f"row {row} does not match header {header}")
-        try:
-            points.append(tuple(float(c) for c in row))
-        except ValueError:
-            raise DomainError(f"non-numeric coordinate in row {row}")
-    return Configuration(points, dimension=d)
-
-
-def write_csv(config: Configuration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_csv(config))
-
-
-def read_csv(path) -> Configuration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_csv(fh.read())

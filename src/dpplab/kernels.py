@@ -1,15 +1,13 @@
 """Kernel catalog: correlation kernels K and their interaction kernels J.
 
-Three families:
+Two families:
 
 * ``RenewalExponential(rho, a)`` -- d=1, K(x,y) = rho * exp(-a|x-y|) with
   rho < a/2; both K and J have closed forms.
 * ``FiniteRangeFourier(R, amplitude, ...)`` -- J is the primitive, a
   triangular finite-range profile with nonnegative Fourier transform.
-* ``Modulated(base, psi, support)`` -- interaction J M_psi J smeared by a
-  bounded nonnegative modulation.
 
-For the last two K is derived from J = K (I - K)^{-1}:
+For the second K is derived from J = K (I - K)^{-1}:
 K = J (I + J)^{-1} = J - J (I + J)^{-1} J.  A context on a padded window
 evaluates this identity in half-solve form, K(x, y) = J(x, y) - t_x . t_y,
 with one Cholesky factor of I + J on its rule.  `HalfSolveKernel` is that
@@ -23,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NumericalBreakdown, ParameterOutOfRange
-from .geometry import Window, as_point
+from .geometry import Window
 from .quadrature import Quadrature, tensor_gauss_legendre
 
 
@@ -45,7 +43,6 @@ class Kernel:
 
     dimension: int
     declared_range: float  # Euclidean range of J (inf if none)
-    has_closed_form_J: bool
     label: str
 
     def k_values(self, X, Y) -> np.ndarray:
@@ -66,10 +63,6 @@ class Kernel:
         self._check_dim(X)
         return np.full(X.shape[0], self.interaction_diagonal)
 
-    def norm_bound(self) -> float:
-        """An a priori upper bound for the operator norm of K (< 1)."""
-        raise NotImplementedError
-
     def diagonal_bound(self) -> float:
         """An upper bound for sup_x K(x, x)."""
         raise NotImplementedError
@@ -79,20 +72,6 @@ class Kernel:
             raise DimensionMismatch(
                 f"{self.label}: points of dimension {X.shape[1]}, kernel is {self.dimension}-dimensional"
             )
-
-
-def eval_K(spec: Kernel, x, y) -> float:
-    """Correlation kernel at a single pair of points."""
-    X = np.asarray(as_point(x))[None, :]
-    Y = np.asarray(as_point(y))[None, :]
-    return float(spec.k_values(X, Y)[0, 0])
-
-
-def eval_J(spec: Kernel, x, y) -> float:
-    """Global interaction kernel at a single pair of points."""
-    X = np.asarray(as_point(x))[None, :]
-    Y = np.asarray(as_point(y))[None, :]
-    return float(spec.j_values(X, Y)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +139,6 @@ class RenewalExponential(Kernel):
         self.sigma = self.forms.sigma
         self.dimension = 1
         self.declared_range = float("inf")
-        self.has_closed_form_J = True
         self.label = f"renewal(rho={self.rho}, a={self.a})"
 
     def k_values(self, X, Y) -> np.ndarray:
@@ -182,10 +160,6 @@ class RenewalExponential(Kernel):
         dist = np.abs(X[:, None, 0] - Y[None, :, 0])
         amp = self.rho * self.a / self.sigma
         return amp * np.exp(-self.sigma * dist)
-
-    def norm_bound(self) -> float:
-        # sup of the Fourier transform 2 rho a / (a^2 + t^2) sits at t = 0
-        return 2.0 * self.rho / self.a
 
     def diagonal_bound(self) -> float:
         return self.rho
@@ -350,19 +324,6 @@ class DerivedKernel(Kernel):
         self._check_dim(X)
         return self.attach_context(self.bounding_window(X)).diagonal(X)
 
-    def norm_bound(self) -> float:
-        mass = self.interaction_mass()
-        return mass / (1.0 + mass)
-
-    def interaction_mass(self) -> float:
-        """L1 mass of the interaction profile; bounds sup of its transform."""
-        raise NotImplementedError
-
-
-def triangular_profile(diff: np.ndarray, R: float) -> np.ndarray:
-    """prod_i (1 - |d_i| / R)^+ for difference vectors `diff` (m, d)."""
-    return np.prod(np.clip(1.0 - np.abs(diff) / R, 0.0, None), axis=-1)
-
 
 class FiniteRangeFourier(DerivedKernel):
     """Finite-range interaction j(x - y) with nonnegative Fourier transform.
@@ -390,7 +351,6 @@ class FiniteRangeFourier(DerivedKernel):
         self.dimension = dimension
         # triangular support is a sup-norm ball; its Euclidean radius is R sqrt(d)
         self.declared_range = self.R * math.sqrt(dimension)
-        self.has_closed_form_J = True
         self.label = f"finite-range(R={self.R}, amplitude={self.amplitude}, d={dimension})"
         self.context_pad_ranges = (
             context_pad_ranges if context_pad_ranges is not None else (6.0 if dimension == 1 else 4.0)
@@ -405,7 +365,7 @@ class FiniteRangeFourier(DerivedKernel):
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
-        # the triangular factor axis by axis, in the arithmetic of triangular_profile
+        # the triangular factor axis by axis
         vals = np.ones((X.shape[0], Y.shape[0]))
         for i in range(self.dimension):
             factor = np.abs(X[:, i, None] - Y[None, :, i])
@@ -415,9 +375,6 @@ class FiniteRangeFourier(DerivedKernel):
         vals *= self.amplitude
         return vals
 
-    def interaction_mass(self) -> float:
-        return self.amplitude * self.R**self.dimension
-
     def diagonal_bound(self) -> float:
         # a context's K(x, x) = J(x, x) - |t_x|^2 <= J(x, x) = j(0)
         return self.interaction_diagonal
@@ -426,87 +383,3 @@ class FiniteRangeFourier(DerivedKernel):
     def interaction_diagonal(self) -> float:
         return self.amplitude
 
-
-class Modulated(DerivedKernel):
-    """Interaction smeared through a bounded nonnegative modulation psi.
-
-    L(x, y) = int j(x - z) psi(z) j(z - y) dz, evaluated on a fixed cached
-    rule over psi's declared support window; psi is treated as zero outside
-    it.  L is Hermitian, positive semidefinite (a Gram sum with weights
-    w_q psi(z_q) >= 0) and has finite range 2 * base range.
-    """
-
-    def __init__(
-        self,
-        base: FiniteRangeFourier,
-        psi: Callable[[np.ndarray], np.ndarray],
-        support: Window,
-        nodes_per_range: float = 8.0,
-        context_pad_ranges: float | None = None,
-        context_nodes_per_range: float | None = None,
-    ):
-        if not math.isfinite(base.declared_range):
-            raise ParameterOutOfRange("modulated family needs a finite-range base kernel")
-        if support.dimension != base.dimension:
-            raise DimensionMismatch("support window dimension differs from base kernel")
-        self.base = base
-        self.psi = psi
-        self.support = support
-        self.dimension = base.dimension
-        self.declared_range = 2.0 * base.declared_range
-        self.has_closed_form_J = True
-        self.label = f"modulated({base.label})"
-        per_axis = int(
-            math.ceil(max(support.sides) * nodes_per_range / base.declared_range)
-        )
-        self._rule = tensor_gauss_legendre(support, max(per_axis, 8))
-        psi_vals = np.asarray(psi(self._rule.nodes), dtype=float)
-        if np.any(psi_vals < 0):
-            raise ParameterOutOfRange("modulation psi must be nonnegative")
-        self._psi_weights = self._rule.weights * psi_vals
-        self.context_pad_ranges = (
-            context_pad_ranges if context_pad_ranges is not None else (6.0 if self.dimension == 1 else 4.0)
-        )
-        self.context_nodes_per_range = (
-            context_nodes_per_range
-            if context_nodes_per_range is not None
-            else (12.0 if self.dimension == 1 else 4.0)
-        )
-
-    def j_values(self, X, Y) -> np.ndarray:
-        X, Y = _coerce(X), _coerce(Y)
-        self._check_dim(X)
-        self._check_dim(Y)
-        jx = self.base.j_values(X, self._rule.nodes)
-        jy = jx if Y is X else self.base.j_values(Y, self._rule.nodes)
-        return (jx * self._psi_weights[None, :]) @ jy.T
-
-    def j_diagonal(self, X) -> np.ndarray:
-        X = _coerce(X)
-        self._check_dim(X)
-        jx = self.base.j_values(X, self._rule.nodes)
-        return (jx * jx) @ self._psi_weights
-
-    def interaction_mass(self) -> float:
-        # int L <= (int j)^2 * sup psi over support; use the rule directly
-        jz = self.base.j_values(self._rule.nodes, self._rule.nodes)
-        total = float(
-            self._rule.weights @ (jz * self._psi_weights[None, :]) @ self._rule.weights
-        )
-        return abs(total)
-
-    def diagonal_bound(self) -> float:
-        # a context's K(x, x) = L(x, x) - |t_x|^2 <= L(x, x) = sum_q w_q psi(z_q)
-        # j(x - z_q)^2, and |j| <= j(0)
-        return self.base.interaction_diagonal**2 * float(self._psi_weights.sum())
-
-
-def estimate_operator_norm(spec: Kernel, window: Window, n: int) -> float:
-    """Largest eigenvalue of the symmetrized discretization of K on `window`."""
-    quad = tensor_gauss_legendre(window, n)
-    sw = quad.sqrt_weights
-    M = spec.k_values(quad.nodes, quad.nodes) * np.outer(sw, sw)
-    M = 0.5 * (M + M.T)
-    if M.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(M)[-1])

@@ -7,7 +7,7 @@ All comparisons use the hybrid tolerance  margin >= -tol * max(1, |rhs|).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -31,10 +31,9 @@ The spectrum gate asks for eigenvalues in (-NEGATIVE_TOLERANCE,
 SPECTRUM_GATE).  J_[Lambda] certifies it without an eigensolve: M + tau I
 (tau = NEGATIVE_TOLERANCE) and SPECTRUM_GATE I - M must both have Cholesky
 factors, found in place in the one buffer that then holds I - M for the
-level's own factor.  The determinant formulas, `local_interaction` and
+level's own factor.  The determinant formula and
 `interaction_diagonal_bound` need the spectrum anyway and read the gate
-from it (`eigvalsh`); eigenvectors are computed only for the samplers and
-the spectral map of `local_interaction`.
+from it (`eigvalsh`); eigenvectors are computed only for the samplers.
 """
 from __future__ import annotations
 
@@ -45,14 +44,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DomainError,
-    NoClosedForm,
-    NumericalBreakdown,
-    QuadratureMismatch,
-    SingularOperator,
-    SpectrumAtOne,
-)
+from .errors import DomainError, NumericalBreakdown, SpectrumAtOne
 from .geometry import Window
 from .kernels import DerivedKernel, HalfSolveKernel, Kernel
 from .quadrature import Quadrature, tensor_gauss_legendre
@@ -83,8 +75,8 @@ class SpectralData:
 class DiscretizedOperator:
     """A kernel operator pinned to one quadrature rule.
 
-    `kind` is "K" (correlation), "J" (global interaction), or "J_local"
-    (local interaction obtained by a spectral transform or restriction).
+    `kind` is "K" (correlation) or "J_local" (a local interaction matrix,
+    such as the weighted J_[Lambda] of `densities.janossy_normalization`).
     """
 
     __slots__ = ("quad", "matrix", "spec", "kind", "_cache")
@@ -151,9 +143,10 @@ def discretize(
     n: int,
     panels: int | None = None,
 ) -> DiscretizedOperator:
-    """Symmetrized Nystrom matrix of K or J on `window` with n nodes per axis."""
-    if which not in ("K", "J"):
-        raise DomainError(f"which must be 'K' or 'J', got {which!r}")
+    """Symmetrized Nystrom matrix of K on `window` with n nodes per axis.
+
+    `which` names the kernel and must be "K", the one kind discretized.
+    """
     if window.dimension != spec.dimension:
         raise DomainError(
             f"window dimension {window.dimension} vs kernel dimension {spec.dimension}"
@@ -170,22 +163,14 @@ def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOper
     A derived-K family's K comes from one context covering the rule's
     window (or its nodes' bounding box), kept with the operator.
     """
-    held = {}
-    if which == "K":
-        held["context"] = ctx = _new_k_context(spec, quad)
-        held["node_columns"] = T = ctx.columns(quad.nodes)
-        values = ctx.values(quad.nodes, quad.nodes, T, T)
-        kind = "K"
-    elif which == "J":
-        if not spec.has_closed_form_J:
-            raise NoClosedForm(f"{spec.label} has no directly evaluable interaction kernel")
-        values = spec.j_values(quad.nodes, quad.nodes)
-        kind = "J"
-    else:
-        raise DomainError(f"which must be 'K' or 'J', got {which!r}")
+    if which != "K":
+        raise DomainError(f"which must be 'K', got {which!r}")
+    ctx = _new_k_context(spec, quad)
+    T = ctx.columns(quad.nodes)
+    values = ctx.values(quad.nodes, quad.nodes, T, T)
     sw = quad.sqrt_weights
-    op = DiscretizedOperator(quad, values * np.outer(sw, sw), spec, kind)
-    op._cache.update(held)
+    op = DiscretizedOperator(quad, values * np.outer(sw, sw), spec, "K")
+    op._cache.update(context=ctx, node_columns=T)
     return op
 
 
@@ -212,68 +197,10 @@ def _gate(op: DiscretizedOperator) -> np.ndarray:
     return vals
 
 
-def local_interaction(op: DiscretizedOperator) -> DiscretizedOperator:
-    """Local interaction J_[Lambda] = K_Lambda (I - K_Lambda)^{-1}.
-
-    Same eigenvectors, eigenvalues mapped lambda -> lambda / (1 - lambda).
-    """
-    vals = _gate(op)
-    mapped = vals / (1.0 - vals)
-    U = op.spectral().eigenvectors
-    matrix = (U * mapped[None, :]) @ U.T
-    out = DiscretizedOperator(op.quad, matrix, op.spec, "J_local")
-    out._cache["spectral"] = SpectralData(mapped, U)
-    out._cache["eigenvalues"] = mapped
-    return out
-
-
 def fredholm_det_I_minus(op: DiscretizedOperator) -> float:
     """det(I - K_Lambda): the vacuum probability, in (0, 1]."""
     vals = _gate(op)
     return float(np.exp(np.sum(np.log1p(-vals))))
-
-
-def det_I_plus(op: DiscretizedOperator) -> float:
-    """det(I + T) for a nonnegative (interaction-type) operator."""
-    if op.kind == "K":
-        raise DomainError("det_I_plus expects an interaction-type operator")
-    vals = op.clipped_eigenvalues()
-    return float(np.exp(np.sum(np.log1p(vals))))
-
-
-def operator_leq(a: DiscretizedOperator, b: DiscretizedOperator, tol: float = 1e-9) -> bool:
-    """Loewner order check: smallest eigenvalue of B - A >= -tol."""
-    if not a.quad.same_rule(b.quad):
-        raise QuadratureMismatch("operators live on different quadrature rules")
-    gap = np.linalg.eigvalsh(b.matrix - a.matrix)[0]
-    return bool(gap >= -tol)
-
-
-def loewner_gap(a: DiscretizedOperator, b: DiscretizedOperator) -> float:
-    """Smallest eigenvalue of B - A (negative means the order fails)."""
-    if not a.quad.same_rule(b.quad):
-        raise QuadratureMismatch("operators live on different quadrature rules")
-    return float(np.linalg.eigvalsh(b.matrix - a.matrix)[0])
-
-
-def projection_inversion_gap(T, mask) -> float:
-    """Smallest eigenvalue of P T^{-1} P - P (P T P)^{-1} P on the mask block.
-
-    Nonnegative in exact arithmetic for positive T.  `T` may be a
-    DiscretizedOperator or a plain symmetric positive matrix.
-    """
-    matrix = T.matrix if isinstance(T, DiscretizedOperator) else np.asarray(T, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (matrix.shape[0],):
-        raise DomainError("mask length does not match operator size")
-    if not np.any(mask):
-        raise DomainError("mask selects no indices")
-    vals = np.linalg.eigvalsh(matrix)
-    if vals[0] <= 1e-8:
-        raise SingularOperator(f"smallest eigenvalue {vals[0]:.3e} <= 1e-8")
-    full_inv_block = np.linalg.inv(matrix)[np.ix_(mask, mask)]
-    block_inv = np.linalg.inv(matrix[np.ix_(mask, mask)])
-    return float(np.linalg.eigvalsh(full_inv_block - block_inv)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +314,3 @@ def interaction_diagonal_bound(op: DiscretizedOperator) -> float:
     vals = _gate(op)
     return op.spec.diagonal_bound() / (1.0 - (vals[0] if vals.size else 0.0))
 
-
-def restrict_interaction(op: DiscretizedOperator, quad: Quadrature) -> DiscretizedOperator:
-    """P J_[Delta] P on a sub-window's rule: extension values re-weighted."""
-    vals = interaction_values(op, quad.nodes)
-    sw = quad.sqrt_weights
-    return DiscretizedOperator(quad, vals * np.outer(sw, sw), op.spec, "J_local")

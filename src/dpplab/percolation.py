@@ -1,4 +1,4 @@
-"""Cluster decomposition of the Boolean model and percolation curves.
+"""Cluster decomposition of the Boolean model, hulls and spanning clusters.
 
 Points carry closed Euclidean balls of a given radius; two points are
 connected when their balls overlap, i.e. when their distance is at most
@@ -8,7 +8,6 @@ or per whole `SampleBatch`, clusters from vectorized label propagation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -141,46 +140,3 @@ def spanning(
         return bool(np.any(spans))
     return np.bincount(config.sample_ids()[spans], minlength=len(config)) > 0
 
-
-@dataclass(frozen=True)
-class CurvePoint:
-    window: Window
-    reps: int
-    mean_largest_fraction: float
-    se_largest_fraction: float
-    spanning_probability: float
-    se_spanning: float
-
-
-def percolation_curve(
-    sample: Callable[[Window, int], SampleBatch],
-    radius: float,
-    windows: Sequence[Window],
-    reps: int,
-) -> list[CurvePoint]:
-    """Largest-cluster fraction and spanning probability across windows.
-
-    `sample(window, reps)` must return a batch of `reps` samples; seeding
-    is the caller's business so processes can be compared on equal terms.
-    """
-    out = []
-    for window in windows:
-        batch = sample(window, reps)
-        dec = decompose(batch, radius)
-        largest = np.zeros(len(batch))
-        np.maximum.at(largest, batch.sample_ids(), dec.sizes()[dec.labels])
-        fractions = largest / np.maximum(batch.counts(), 1)
-        spans = spanning(batch, window, radius)
-        k = len(batch)
-        p = float(spans.mean())
-        out.append(
-            CurvePoint(
-                window=window,
-                reps=k,
-                mean_largest_fraction=float(fractions.mean()),
-                se_largest_fraction=float(fractions.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
-                spanning_probability=p,
-                se_spanning=float(np.sqrt(max(p * (1 - p), 0.0) / k)),
-            )
-        )
-    return out

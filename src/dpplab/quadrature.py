@@ -77,13 +77,6 @@ class Quadrature:
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
 
-    def same_rule(self, other: "Quadrature") -> bool:
-        return (
-            self.nodes.shape == other.nodes.shape
-            and bool(np.array_equal(self.nodes, other.nodes))
-            and bool(np.array_equal(self.weights, other.weights))
-        )
-
 
 def default_panels(window: Window, n: int) -> int:
     # aim for panels of roughly 10 nodes each

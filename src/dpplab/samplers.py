@@ -146,7 +146,6 @@ def sample_dpp_spectral(
     count: int,
     seed: int,
     *,
-    panels: int | None = None,
     disc: DiscretizedOperator | None = None,
     index_offset: int = 0,
 ) -> SampleBatch:
@@ -160,7 +159,7 @@ def sample_dpp_spectral(
     do not depend on its stack.  The law converges to the window
     restriction of the process as the rule refines.
     """
-    disc = disc or discretize(spec, "K", window, n, panels=panels)
+    disc = disc or discretize(spec, "K", window, n)
     spect = disc.spectral()
     lams = np.clip(spect.eigenvalues, 0.0, None)
     keep = lams > 1e-12
@@ -205,7 +204,6 @@ def sample_dpp_birth_death(
     burn_in: float | None = None,
     thinning: float | None = None,
     chains: int = 8,
-    panels: int | None = None,
     disc: DiscretizedOperator | None = None,
 ) -> SampleBatch:
     """Spatial birth-death chain with the local compound intensity.
@@ -219,7 +217,7 @@ def sample_dpp_birth_death(
     (20x and 5x the expected population).  The `chains` chains run in
     turn, chain c on its own stream `stream(seed, c)`.
     """
-    disc = disc or discretize(spec, "K", window, n, panels=panels)
+    disc = disc or discretize(spec, "K", window, n)
     jmax = interaction_diagonal_bound(disc)
     expected = max(operator_trace(disc), 1e-9)
     birth_rate = jmax * window.volume

@@ -119,6 +119,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: domination: ") and "rho" in err
 
+    def test_cpi_limit_window_shorter_than_the_added_span_is_config_error(self, tmp_path, capsys):
+        # the added point lies within domain / 10 = 2 of the center; a 3.9 window misses part of that
+        cfg = write(
+            tmp_path,
+            "[experiment]\nname = cpi-limit\n\n[params]\ninstances = 50\nwindow_lengths = 3.9, 20\n",
+        )
+        assert main(["run", cfg, "--seed", "7", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cpi-limit: window_lengths") and "domain / 5 = 4" in err
+
     def test_unknown_experiment(self, tmp_path, capsys):
         cfg = write(tmp_path, "[experiment]\nname = nope\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2

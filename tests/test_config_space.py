@@ -5,17 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab.errors import DimensionMismatch, DomainError, DuplicatePoint
-from dpplab.geometry import (
-    Configuration,
-    Window,
-    count_in,
-    from_csv,
-    read_csv,
-    restrict,
-    to_csv,
-    union,
-    write_csv,
-)
+from dpplab.geometry import Configuration, Window, count_in, restrict
 from dpplab.quadrature import concatenate, tensor_gauss_legendre
 
 
@@ -79,13 +69,6 @@ class TestConfiguration:
             Configuration([])
         assert len(Configuration.empty(2)) == 0
 
-    def test_union_disjoint(self):
-        a = Configuration([(1.0,), (3.0,)])
-        b = Configuration([(2.0,)])
-        assert union(a, b).coords[:, 0].tolist() == [1.0, 2.0, 3.0]
-        with pytest.raises(DuplicatePoint):
-            union(a, Configuration([(3.0,)]))
-
     @given(points_1d())
     @settings(max_examples=60, deadline=None)
     def test_restrict_plus_complement_partitions(self, xs):
@@ -103,25 +86,6 @@ class TestConfiguration:
         c = Configuration.from_coords(np.array(xs)[:, None], dimension=1)
         if len(c) > 1:
             assert c.min_separation() > 0.0
-
-    @given(points_1d())
-    @settings(max_examples=60, deadline=None)
-    def test_csv_round_trip(self, xs):
-        c = Configuration.from_coords(np.array(xs)[:, None], dimension=1) if xs else Configuration.empty(1)
-        back = from_csv(to_csv(c))
-        assert back == c
-
-    def test_csv_round_trip_2d(self, tmp_path):
-        c = Configuration([(0.25, -1.5), (3.125, 2.0)])
-        path = tmp_path / "points.csv"
-        write_csv(c, path)
-        assert read_csv(path) == c
-
-    def test_csv_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            from_csv("x\nnot-a-number\n")
-        with pytest.raises(DomainError):
-            from_csv("weird_header\n1.0\n")
 
 
 class TestQuadrature:

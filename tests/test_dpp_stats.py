@@ -9,14 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab.densities import (
-    ConditionalKernel,
     DeterminantRatio,
     candidate_intensity,
-    candidate_sequence,
-    chain_rule_product,
     cluster_intensity,
     compound_intensity,
-    conditional_kernel,
     correlation,
     determinant_ratios,
     janossy_density,
@@ -25,7 +21,7 @@ from dpplab.densities import (
     vacuum_probability,
 )
 from dpplab.densities import LOG_UNDERFLOW, RCOND_EXACT, _det_fraction, _exact_ratio, _log_of_fraction
-from dpplab.errors import DomainError, DuplicatePoint, NoFiniteRange, ZeroDenominator
+from dpplab.errors import DomainError, DuplicatePoint, NoFiniteRange
 from dpplab.experiments import _cpi_family_run
 from dpplab.geometry import Configuration, SampleBatch, Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
@@ -272,7 +268,12 @@ class TestCompoundIntensity:
         added = Configuration([(1.2,), (2.8,)])
         given = Configuration([(0.4,), (4.4,)])
         joint = compound_intensity(SPEC, self.window, 100, added, given, disc=self.disc).value
-        prod = chain_rule_product(SPEC, self.window, 100, added, given, disc=self.disc)
+        # the product of one-point intensities c(x_i | x_1..x_{i-1}, given)
+        prod, acc = 1.0, given.coords
+        for pt in added.coords:
+            one = Configuration.from_coords(pt[None, :])
+            prod *= compound_intensity(SPEC, self.window, 100, one, Configuration.from_coords(acc), disc=self.disc).value
+            acc = np.concatenate([acc, pt[None, :]])
         assert joint == pytest.approx(prod, rel=1e-9)
 
     def test_near_coincident_cluster_stays_monotone(self):
@@ -360,7 +361,7 @@ class TestCandidatesAndClusters:
         added = Configuration([(10.0,)])
         given = Configuration([(8.5,), (11.2,), (3.0,), (17.0,)])
         windows = [Window.interval(10.0 - h, 10.0 + h) for h in (2.0, 4.0, 8.0, 10.0)]
-        vals = candidate_sequence(SPEC, added, given, windows)
+        vals = np.array([candidate_intensity(SPEC, added, given, w).value for w in windows])
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_candidate_restricts_given(self):
@@ -474,42 +475,17 @@ class TestBatchRatios:
 
 class TestConditionalKernel:
     def test_schur_matches_determinant_ratio(self):
+        # det J^xi(alpha, alpha) = c(alpha | xi) for the conditional kernel in its
+        # Schur form J^xi(x, y) = J(x, y) - J(x, xi) J(xi, xi)^{-1} J(xi, y)
         outer = Window.interval(0.0, 8.0)
-        inner = Window.interval(3.0, 5.0)
         given = Configuration([(1.0,), (2.2,), (6.1,), (7.4,)])
         disc = discretize(SPEC, "K", outer, 120)
-        ck = conditional_kernel(SPEC, inner, outer, 120, given, disc=disc)
         alpha = Configuration([(3.4,), (4.6,)])
         direct = compound_intensity(
             SPEC, outer, 120, alpha, given, disc=disc
         ).value
-        via_kernel = float(np.linalg.det(ck.matrix(alpha)))
+        j_xi = interaction_values(disc, given.coords)
+        j_axi = interaction_values(disc, alpha.coords, given.coords)
+        conditional = interaction_values(disc, alpha.coords) - j_axi @ np.linalg.inv(j_xi) @ j_axi.T
+        via_kernel = float(np.linalg.det(conditional))
         assert via_kernel == pytest.approx(direct, rel=1e-9)
-
-    def test_rejects_given_inside_inner(self):
-        with pytest.raises(DomainError):
-            conditional_kernel(
-                SPEC,
-                Window.interval(3.0, 5.0),
-                Window.interval(0.0, 8.0),
-                60,
-                Configuration([(4.0,)]),
-            )
-
-    def test_rejects_inner_outside_outer(self):
-        with pytest.raises(DomainError):
-            conditional_kernel(
-                SPEC,
-                Window.interval(-1.0, 5.0),
-                Window.interval(0.0, 8.0),
-                60,
-                Configuration.empty(1),
-            )
-
-    def test_empty_given_reduces_to_plain_interaction(self):
-        outer = Window.interval(0.0, 8.0)
-        inner = Window.interval(3.0, 5.0)
-        disc = discretize(SPEC, "K", outer, 100)
-        ck = conditional_kernel(SPEC, inner, outer, 100, Configuration.empty(1), disc=disc)
-        pts = np.array([[3.5], [4.5]])
-        assert np.allclose(ck.values(pts), interaction_values(disc, pts), atol=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dpplab.errors import DomainError
 from dpplab.geometry import Configuration, Window
-from dpplab.percolation import decompose, hull_of, percolation_curve, spanning
+from dpplab.percolation import decompose, hull_of, spanning
 
 
 def brute_force_labels(coords: np.ndarray, radius: float) -> np.ndarray:
@@ -141,21 +141,3 @@ class TestSpanning:
         assert spanning(column, w, 0.51, axis=1)
         assert not spanning(column, w, 0.51, axis=0)
 
-
-class TestCurve:
-    def test_poisson_curve_shape(self):
-        rng_seed = [0]
-
-        def sample(window, reps):
-            from dpplab.samplers import sample_poisson
-
-            rng_seed[0] += 1
-            return sample_poisson(1.2, 1.2, window, reps, seed=rng_seed[0])
-
-        windows = [Window.interval(0.0, L) for L in (4.0, 8.0)]
-        curve = percolation_curve(sample, radius=1.0, windows=windows, reps=150)
-        assert len(curve) == 2
-        for pt in curve:
-            assert 0.0 <= pt.spanning_probability <= 1.0
-            assert 0.0 <= pt.mean_largest_fraction <= 1.0
-            assert pt.reps == 150

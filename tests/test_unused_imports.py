@@ -1,0 +1,34 @@
+"""Every name a module of dpplab imports is used in that module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import dpplab
+
+MODULES = sorted(p for p in Path(dpplab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    assert _unused_imports("import os\nfrom typing import Callable, Sequence\nx: Sequence = os.sep\n") == [
+        "line 2: Callable"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
