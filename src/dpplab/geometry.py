@@ -1,8 +1,9 @@
 """Points, finite configurations, sample batches, and rectangular windows.
 
 Configurations are finite simple point sets in dimension 1 or 2, stored
-in lexicographic order so that equality and hashing are canonical.  A sample batch stacks many configurations on one window into
-a single ragged array.  Windows are closed axis-aligned boxes.
+in lexicographic order so that equality and hashing are canonical.  A
+sample batch stacks many configurations on one window into a single
+ragged array.  Windows are closed axis-aligned boxes.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Nystrom discretization of kernel operators and spectral transforms.
+"""Nystrom discretization of kernel operators, Fredholm determinants, J_[Lambda].
 
 A kernel T restricted to a window is represented by the symmetrized
 matrix M[i, j] = sqrt(w_i) T(z_i, z_j) sqrt(w_j) over a tensor
@@ -31,7 +31,7 @@ The spectrum gate asks for eigenvalues in (-NEGATIVE_TOLERANCE,
 SPECTRUM_GATE).  J_[Lambda] certifies it without an eigensolve: M + tau I
 (tau = NEGATIVE_TOLERANCE) and SPECTRUM_GATE I - M must both have Cholesky
 factors, found in place in the one buffer that then holds I - M for the
-level's own factor.  The determinant formula and
+level's own factor.  `fredholm_det_I_minus` and
 `interaction_diagonal_bound` need the spectrum anyway and read the gate
 from it (`eigvalsh`); eigenvectors are computed only for the samplers.
 """
