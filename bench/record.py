@@ -15,14 +15,18 @@ drift of the machine does not favour one side.  Runs go one at a time.
 The JSON holds, per workload and end-to-end metric of BENCHMARK.json,
 the per-pair values of both sides, their medians and quartiles, the
 change/parent ratio of the medians and the number of pairs the change
-wins; the attempted and failed op counts per run; and the `machine` line
-that perfbench prints (core count, BLAS, Python and numpy versions).
+wins; the attempted and failed op counts, the cycle count and the
+`FAILED ...` lines of each run; the (op, seed) failures of each pair
+that only one side had, with whether the other side's run reached that
+seed; and the `machine` line that perfbench prints (core count, BLAS,
+Python and numpy versions).
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -33,20 +37,53 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # pairs per workload: the fewest that can support a claimed gain (9 wins of 10)
 PAIRS = 10
+# perfbench runs cycle c of a run at --seed S at op seed 1000 * S + c
+SEEDS_PER_RUN = 1000
+
+FAILED_OP = re.compile(r"^FAILED workload=\S+ op=(\S+) seed=(\d+)")
+CYCLES = re.compile(r"^workload \S+ seed -?\d+: (\d+) cycle")
+
+
+def parse_run(stdout: str) -> dict:
+    """The final JSON line of a perfbench run plus its machine facts, cycle count and FAILED lines."""
+    lines = stdout.splitlines()
+    result = json.loads(lines[-1])
+    machine = [line for line in lines if line.startswith("machine ")]
+    result["machine"] = json.loads(machine[0].split(" ", 1)[1]) if machine else {}
+    cycles = [int(m.group(1)) for m in map(CYCLES.match, lines) if m]
+    result["cycles"] = cycles[0] if cycles else None
+    result["failures"] = [line for line in lines if line.startswith("FAILED ")]
+    return result
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in `tree`: its final JSON line plus the machine facts."""
+    """One perfbench run in `tree`, parsed by `parse_run`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
-    lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1])
-    machine = [line for line in lines if line.startswith("machine ")]
-    result["machine"] = json.loads(machine[0].split(" ", 1)[1]) if machine else {}
-    return result
+    return parse_run(proc.stdout)
+
+
+def one_side_failures(runs: dict, seeds: list[int]) -> list[dict]:
+    """The (op, seed) failures of a pair that the other side's run at that pair's seed did not have.
+
+    `reached` tells whether the other run completed the cycle of that seed;
+    an op run before the loop at cycle 0 counts as reached.
+    """
+    out = []
+    for i, seed in enumerate(seeds):
+        failed = {}
+        for side in runs:
+            matches = map(FAILED_OP.match, runs[side][i]["failures"])
+            failed[side] = {(m.group(1), int(m.group(2))) for m in matches if m}
+        for side, other in (("parent", "change"), ("change", "parent")):
+            for op, op_seed in sorted(failed[side] - failed[other]):
+                cycle = op_seed - SEEDS_PER_RUN * seed
+                out.append({"pair": i, "side": side, "op": op, "seed": op_seed,
+                            "reached": cycle < (runs[other][i]["cycles"] or 0)})
+    return out
 
 
 def summarize(values: list[float]) -> dict:
@@ -86,12 +123,16 @@ def record(spec: dict, parent: Path, seed: int, log=print) -> dict:
                     sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])),
                 "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
             }
+        seeds = [seed + i for i in range(PAIRS)]
         out[workload] = {
-            "seeds": [seed + i for i in range(PAIRS)],
+            "seeds": seeds,
             "metrics": metrics,
             "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
             "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
             "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
+            "cycles": {side: [r["cycles"] for r in runs[side]] for side in runs},
+            "failures": {side: [r["failures"] for r in runs[side]] for side in runs},
+            "one_side_failures": one_side_failures(runs, seeds),
         }
     return {"machine": machine, "workloads": out}
 

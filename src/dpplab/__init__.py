@@ -20,7 +20,7 @@ from .errors import (
     SingularBlock,
     SpectrumAtOne,
 )
-from .geometry import Configuration, Window, count_in, restrict
+from .geometry import SampleBatch, Window, count_in, restrict
 from .quadrature import Quadrature, tensor_gauss_legendre
 from .kernels import (
     FiniteRangeFourier,
@@ -40,7 +40,6 @@ from .operators import (
     operator_trace,
 )
 from .densities import (
-    DeterminantRatio,
     NormalizationResult,
     candidate_intensity,
     cluster_intensity,
@@ -52,7 +51,6 @@ from .densities import (
     vacuum_probability,
 )
 from .samplers import (
-    SampleBatch,
     domination_test,
     load_batch,
     sample_dpp_birth_death,

@@ -8,8 +8,11 @@ Everything here reduces to determinants of kernel matrices:
 * the candidate global intensity from growing windows and its
   finite-range cluster factorization.
 
-Ratios are carried in log space; a denominator whose determinant
-underflows (or is singular) makes the ratio 0 by convention.
+A configuration is an (m, d) coordinate array for the single-set
+references (`correlation`, `janossy_density`) and a `SampleBatch` for the
+intensities, which return one ratio per sample.  Ratios are taken in log
+space; a determinant that underflows (or is singular) makes the ratio 0
+by convention.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, DuplicatePoint, NoFiniteRange, NumericalBreakdown
-from .geometry import Configuration, SampleBatch, Window, restrict
+from .geometry import COINCIDENCE, SampleBatch, Window, restrict, simple_points
 from .kernels import Kernel
 from .operators import (
     DiscretizedOperator,
@@ -34,8 +37,6 @@ from . import percolation
 
 # determinants whose log falls below this are treated as exactly zero
 LOG_UNDERFLOW = -700.0
-# points closer than this are numerically coincident
-COINCIDENCE = 1e-12
 # below this reciprocal condition number float64 determinants of a ratio lose
 # the digits the 1e-9 guarantees need; the ratio is then recomputed in exact
 # rational arithmetic (float entries are exact binary rationals)
@@ -46,46 +47,17 @@ EXACT_SIZE_LIMIT = 24
 MAX_TERMS = 160
 
 
-@dataclass(frozen=True)
-class DeterminantRatio:
-    """A ratio of two PSD determinants kept in log space.
-
-    `value` = exp(numerator_logdet - denominator_logdet); the convention
-    for a vanishing denominator (or numerator) is value 0, with the
-    corresponding logdet recorded as -inf.
-    """
-
-    numerator_logdet: float
-    denominator_logdet: float
-
-    @property
-    def value(self) -> float:
-        if np.isneginf(self.denominator_logdet) or np.isneginf(self.numerator_logdet):
-            return 0.0
-        return float(np.exp(self.numerator_logdet - self.denominator_logdet))
-
-
 def psd_logdet(matrix: np.ndarray) -> float:
     """log det of a PSD matrix; -inf for singular/indefinite/underflow."""
     return _stack_logdets(np.asarray(matrix, dtype=float)[None])[0]
 
 
-def _check_simple(config: Configuration, label: str = "configuration") -> None:
-    if config.min_separation() < COINCIDENCE:
-        raise DuplicatePoint(f"{label} has points closer than {COINCIDENCE}")
-
-
-def _check_in_window(config: Configuration, window: Window, label: str) -> None:
-    if len(config) and not np.all(window.contains(config.coords)):
-        raise DomainError(f"{label} has points outside the window")
-
-
-def correlation(spec: Kernel, config: Configuration) -> float:
-    """Correlation function det K(alpha, alpha); 1 for the empty set."""
-    if len(config) == 0:
+def correlation(spec: Kernel, coords) -> float:
+    """Correlation function det K(alpha, alpha) of the (m, d) points alpha; 1 for the empty set."""
+    coords = simple_points(coords, spec.dimension)
+    if len(coords) == 0:
         return 1.0
-    _check_simple(config)
-    mat = spec.k_values(config.coords, config.coords)
+    mat = spec.k_values(coords, coords)
     det = float(np.linalg.det(mat))
     scale = float(np.prod(np.maximum(np.diag(mat), 1e-300)))
     if det < -1e-9 * max(scale, 1e-300):
@@ -103,18 +75,19 @@ def janossy_density(
     spec: Kernel,
     window: Window,
     n: int,
-    config: Configuration,
+    coords,
     *,
     disc: DiscretizedOperator | None = None,
 ) -> float:
-    """Janossy density det(I - K_Lambda) * det J_[Lambda](xi, xi)."""
+    """Janossy density det(I - K_Lambda) * det J_[Lambda](xi, xi) of the (m, d) points xi."""
     disc = disc or discretize(spec, "K", window, n)
-    _check_in_window(config, window, "configuration")
+    coords = simple_points(coords, window.dimension)
+    if not np.all(window.contains(coords)):
+        raise DomainError("configuration has points outside the window")
     vacuum = fredholm_det_I_minus(disc)
-    if len(config) == 0:
+    if len(coords) == 0:
         return vacuum
-    _check_simple(config)
-    logdet = psd_logdet(interaction_values(disc, config.coords))
+    logdet = psd_logdet(interaction_values(disc, coords))
     if np.isneginf(logdet):
         return 0.0
     return float(np.exp(np.log(vacuum) + logdet))
@@ -168,7 +141,8 @@ def _stack_logdets(stack: np.ndarray) -> list[float]:
     ]
 
 
-def _exact_ratio(block: np.ndarray, k: int) -> DeterminantRatio:
+def _exact_logdets(block: np.ndarray, k: int) -> tuple[float, float]:
+    """log det B and log det B[-k:, -k:] in exact rational arithmetic."""
     top = _det_fraction(block)
     bottom = _det_fraction(block[-k:, -k:]) if k else Fraction(1)
     if top < 0 and bottom < 0:
@@ -176,11 +150,14 @@ def _exact_ratio(block: np.ndarray, k: int) -> DeterminantRatio:
         # whole block, below zero; the ratio is still the exact Schur
         # complement of the tail, and it is positive
         top, bottom = -top, -bottom
-    return DeterminantRatio(_log_of_fraction(top), _log_of_fraction(bottom))
+    return _log_of_fraction(top), _log_of_fraction(bottom)
 
 
-def determinant_ratios(blocks: Sequence[np.ndarray], tails: Sequence[int]) -> list[DeterminantRatio]:
-    """det B / det B[-k:, -k:] for each block B with its tail size k.
+def determinant_ratios(blocks: Sequence[np.ndarray], tails: Sequence[int]) -> np.ndarray:
+    """det B / det B[-k:, -k:] for each block B with its tail size k, as one float64 array.
+
+    A ratio is 0 where either log-determinant is -inf (singular,
+    indefinite or underflowed).
 
     Blocks of one size and tail form one (t, m, m) stack for batched
     `eigvalsh` and `slogdet`; they are never padded, because padding would
@@ -193,7 +170,8 @@ def determinant_ratios(blocks: Sequence[np.ndarray], tails: Sequence[int]) -> li
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (block, k) in enumerate(zip(blocks, tails)):
         groups.setdefault((block.shape[0], int(k)), []).append(i)
-    out: list[DeterminantRatio | None] = [None] * len(blocks)
+    nums = np.empty(len(blocks))
+    dens = np.empty(len(blocks))
     for (m, k), idx in groups.items():
         stack = np.array([blocks[i] for i in idx], dtype=float).reshape(len(idx), m, m)
         exact = [False] * len(idx)
@@ -201,10 +179,14 @@ def determinant_ratios(blocks: Sequence[np.ndarray], tails: Sequence[int]) -> li
             spectrum = np.linalg.eigvalsh(stack)
             low, top = spectrum[:, 0], spectrum[:, -1]
             exact = ((top <= 0) | (low < RCOND_EXACT * top)).tolist()
-        nums = _stack_logdets(stack)
-        dens = _stack_logdets(stack[:, m - k:, m - k:]) if k else [0.0] * len(idx)
-        for i, flag, num, den in zip(idx, exact, nums, dens):
-            out[i] = _exact_ratio(blocks[i], k) if flag else DeterminantRatio(num, den)
+        nums[idx] = _stack_logdets(stack)
+        dens[idx] = _stack_logdets(stack[:, m - k:, m - k:]) if k else 0.0
+        for i, flag in zip(idx, exact):
+            if flag:
+                nums[i], dens[i] = _exact_logdets(blocks[i], k)
+    finite = ~(np.isneginf(nums) | np.isneginf(dens))
+    out = np.zeros(len(blocks))
+    out[finite] = np.exp(nums[finite] - dens[finite])
     return out
 
 
@@ -227,14 +209,7 @@ def _joined(added: SampleBatch, given: SampleBatch) -> tuple[np.ndarray, np.ndar
     return pts, offsets
 
 
-def _one_sample(config: Configuration) -> SampleBatch:
-    """`config` as a batch of one sample, on a box around its points."""
-    lo = config.coords.min(axis=0, initial=0.0) - 1.0
-    hi = config.coords.max(axis=0, initial=0.0) + 1.0
-    return SampleBatch.from_samples(Window(tuple(lo), tuple(hi)), [config.coords], seed=0, method="configuration")
-
-
-def _closed_form_ratios(spec: Kernel, added: SampleBatch, given: SampleBatch) -> list[DeterminantRatio]:
+def _closed_form_ratios(spec: Kernel, added: SampleBatch, given: SampleBatch) -> np.ndarray:
     """det J(added + given) / det J(given) per sample, with the closed-form J, from one stack."""
     pts, offsets = _joined(added, given)
     blocks = [spec.j_values(b, b) for b in np.split(pts, offsets[1:-1])]
@@ -245,21 +220,19 @@ def compound_intensity(
     spec: Kernel,
     window: Window,
     n: int,
-    added: Configuration | SampleBatch,
-    given: Configuration | SampleBatch,
+    added: SampleBatch,
+    given: SampleBatch,
     *,
     disc: DiscretizedOperator | None = None,
-) -> DeterminantRatio | list[DeterminantRatio]:
+) -> np.ndarray:
     """Local compound Papangelou intensity
 
-    det J_[Lambda](added + given) / det J_[Lambda](given).
+    det J_[Lambda](added + given) / det J_[Lambda](given)
 
-    For two batches with the same number of samples the result is the list
-    of per-sample intensities, all from one `interaction_values` stack.
+    of each sample of two batches with the same number of samples, all
+    from one `interaction_values` stack.
     """
     disc = disc or discretize(spec, "K", window, n)
-    if isinstance(added, Configuration):
-        return compound_intensity(spec, window, n, _one_sample(added), _one_sample(given), disc=disc)[0]
     pts, offsets = _joined(added, given)
     if len(pts) and not np.all(window.contains(pts)):
         raise DomainError("added + given has points outside the window")
@@ -269,39 +242,30 @@ def compound_intensity(
 
 def candidate_intensity(
     spec: Kernel,
-    added: Configuration | SampleBatch,
-    given: Configuration | SampleBatch,
+    added: SampleBatch,
+    given: SampleBatch,
     window: Window,
-) -> DeterminantRatio | list[DeterminantRatio]:
+) -> np.ndarray:
     """One term of the candidate global intensity: the window-truncated ratio
 
     det J(added + given_restricted) / det J(given_restricted)
-    with the closed-form global interaction kernel.
-
-    For two batches with the same number of samples the result is the list
-    of per-sample terms, all from one `determinant_ratios` stack.
+    with the closed-form global interaction kernel, for each sample of two
+    batches with the same number of samples, all from one
+    `determinant_ratios` stack.
     """
-    if isinstance(added, Configuration):
-        return candidate_intensity(spec, _one_sample(added), _one_sample(given), window)[0]
     return _closed_form_ratios(spec, added, restrict(given, window))
 
 
-def cluster_intensity(
-    spec: Kernel,
-    added: Configuration | SampleBatch,
-    given: Configuration | SampleBatch,
-) -> DeterminantRatio | list[DeterminantRatio]:
+def cluster_intensity(spec: Kernel, added: SampleBatch, given: SampleBatch) -> np.ndarray:
     """Finite-range factorization of the candidate intensity.
 
     Only the part of `given` connected to `added` through balls of the
     declared range enters the ratio; the rest cancels block by block.
-    For two batches with the same number of samples the result is the list
-    of per-sample ratios, all from one `determinant_ratios` stack.
+    One ratio per sample of two batches with the same number of samples,
+    all from one `determinant_ratios` stack.
     """
     if not np.isfinite(spec.declared_range):
         raise NoFiniteRange(f"{spec.label} has no finite declared range")
-    if isinstance(added, Configuration):
-        return cluster_intensity(spec, _one_sample(added), _one_sample(given))[0]
     _joined(added, given)  # all of added + given must be simple, not only the hull
     return _closed_form_ratios(spec, added, percolation.hull_of(added, given, spec.declared_range))
 

@@ -26,7 +26,7 @@ from .densities import (
     janossy_normalization,
 )
 from .errors import ConfigError, DimensionMismatch, ParameterOutOfRange
-from .geometry import Configuration, Window, count_in, restrict
+from .geometry import Window, count_in, restrict
 from .kernels import FiniteRangeFourier, Kernel, RenewalExponential
 from .operators import (
     discretize,
@@ -381,8 +381,7 @@ def _cpi_family_run(spec: Kernel, window: Window, n: int, instances: int, seed: 
         blocks += [J, J[np.ix_(sub, sub)]]
         tails += [len(pts) - 1, sub.size - 1]
     ratios = determinant_ratios(blocks, tails)
-    c_eta = np.array([r.value for r in ratios[0::2]])
-    c_xi = np.array([r.value for r in ratios[1::2]])
+    c_eta, c_xi = ratios[0::2], ratios[1::2]
     diag = np.array([J[0, 0] for J in full])
     mono = (c_xi - c_eta) / np.maximum(1.0, c_xi)
     bound = (diag - c_xi) / np.maximum(1.0, diag)
@@ -845,34 +844,31 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, out_dir):
     lo_a, hi_a = center - domain_len / 10.0, center + domain_len / 10.0
 
     def one(i: int):
-        xi = renewal.sample_stationary_renewal(
-            forms, domain, 1, _subseed(seed, 100 + i)
-        ).configurations[0]
+        xi = renewal.sample_stationary_renewal(forms, domain, 1, _subseed(seed, 100 + i)).coords
         rng = stream(_subseed(seed, 7), i)
         while True:
             a_pt = lo_a + (hi_a - lo_a) * rng.random()
-            if len(xi) == 0 or np.abs(xi.coords[:, 0] - a_pt).min() > 1e-6:
+            if len(xi) == 0 or np.abs(xi[:, 0] - a_pt).min() > 1e-6:
                 break
-        closed = renewal.global_compound_intensity(forms, a_pt, xi.coords[:, 0])
-        return np.array([[a_pt]]), xi.coords, closed
+        closed = renewal.global_compound_intensity(forms, a_pt, xi[:, 0])
+        return np.array([[a_pt]]), xi, closed
 
     flat = [one(i) for i in range(instances)]
     added = SampleBatch.from_samples(domain, [f[0] for f in flat], seed=seed, method="uniform")
     given = SampleBatch.from_samples(domain, [f[1] for f in flat], seed=seed, method="renewal")
     closed = np.array([f[2] for f in flat])
     # candidate ratios of every instance, one stack per window
-    cand = np.array([[r.value for r in candidate_intensity(spec, added, given, w)] for w, _, _ in discs]).T
+    cand = np.array([candidate_intensity(spec, added, given, w) for w, _, _ in discs]).T
     if len(discs) > 1:
         monos = np.min(np.diff(-cand, axis=1) / np.maximum(1.0, cand[:, :-1]), axis=1)
     else:
         monos = np.zeros(instances)
     routes = np.abs(cand[:, -1] - closed) / np.maximum(1.0, np.abs(closed))
 
-    def window_intensities(w: Window, n: int, d) -> list[float]:
-        # c_window(a | xi in window) of every instance, from one stack per window
-        return [r.value for r in compound_intensity(spec, w, n, added, restrict(given, w), disc=d)]
-
-    local = np.array([window_intensities(w, n, d) for w, n, d in discs]).T
+    # c_window(a | xi in window) of every instance, from one stack per window
+    local = np.array(
+        [compound_intensity(spec, w, n, added, restrict(given, w), disc=d) for w, n, d in discs]
+    ).T
     per_window_err = np.abs(local - closed[:, None])
     errs = per_window_err[:, -1]
 
@@ -955,13 +951,13 @@ def _run_cluster_formula(kernel_cfg, p: Params, seed, out_dir):
     drawn = [draw(i) for i in range(instances)]
     added = SampleBatch.from_samples(domain, [d[0] for d in drawn], seed=seed, method="uniform")
     given = SampleBatch.from_samples(domain, [d[1] for d in drawn], seed=seed, method="poisson")
-    cluster = np.array([r.value for r in cluster_intensity(spec, added, given)])
+    cluster = cluster_intensity(spec, added, given)
     ladder = [
         Window.interval(center - r, center + r)
         for r in (domain_len / 8.0, domain_len / 4.0, domain_len / 2.0)
     ] + [domain]
     # candidate ratios of every instance, one stack per window
-    cand = np.array([[r.value for r in candidate_intensity(spec, added, given, w)] for w in ladder]).T
+    cand = np.array([candidate_intensity(spec, added, given, w) for w in ladder]).T
     monos = np.min(np.diff(-cand, axis=1) / np.maximum(1.0, cand[:, :-1]), axis=1)
     errs = np.abs(cand[:, -1] - cluster) / np.maximum(1.0, np.abs(cand[:, -1]))
 
@@ -1024,9 +1020,8 @@ def _run_renewal_equivalence(kernel_cfg, p: Params, seed, out_dir):
             xs = np.sort(rng.random(m)) * domain_len
             if np.diff(xs).min() > 1e-6:
                 break
-        cfg = Configuration.from_coords(xs[:, None], dimension=1)
-        products[i] = renewal.log_det_factorized(forms, cfg)
-        coords[m].append(cfg.coords)
+        products[i] = renewal.log_det_factorized(forms, xs[:, None])
+        coords[m].append(xs[:, None])
     direct = np.empty(configs)
     for m, pts in coords.items():
         direct[m - 2::7] = _stack_logdets(np.array([spec.j_values(x, x) for x in pts]))

@@ -1,22 +1,24 @@
-"""Points, finite configurations, sample batches, and rectangular windows.
+"""Rectangular windows and sample batches of finite point configurations.
 
-Configurations are finite simple point sets in dimension 1 or 2, stored
-in lexicographic order so that equality and hashing are canonical.  A
-sample batch stacks many configurations on one window into a single
-ragged array.  Windows are closed axis-aligned boxes.
+A sample batch stacks the configurations drawn on one window into a
+single ragged array, each sample a finite simple point set in dimension
+1 or 2 stored in lexicographic order; one configuration is a batch of
+one sample.  Windows are closed axis-aligned boxes.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicatePoint, DomainError
 
 SUPPORTED_DIMENSIONS = (1, 2)
+# points closer than this are numerically coincident
+COINCIDENCE = 1e-12
 
 
 def as_point(value) -> tuple[float, ...]:
@@ -85,14 +87,6 @@ class Window:
             tuple(u + margin for u in self.upper),
         )
 
-    def intersects(self, other: "Window") -> bool:
-        if other.dimension != self.dimension:
-            raise DimensionMismatch("windows of different dimension")
-        return all(
-            l1 <= u2 and l2 <= u1
-            for l1, u1, l2, u2 in zip(self.lower, self.upper, other.lower, other.upper)
-        )
-
 
 def _canonical(coords: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
     """Read-only copy of the rows of `coords` in lexicographic order.
@@ -117,81 +111,6 @@ def _canonical(coords: np.ndarray, groups: np.ndarray | None = None) -> np.ndarr
     return coords
 
 
-class Configuration:
-    """Immutable finite simple configuration, lexicographically sorted."""
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, points: Iterable = (), dimension: int | None = None):
-        rows = [as_point(p) for p in points]
-        dims = {len(r) for r in rows}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"mixed point dimensions: {sorted(dims)}")
-        coords = np.array(rows, dtype=float) if rows else np.empty((0, 0))
-        object.__setattr__(self, "_coords", Configuration.from_coords(coords, dimension)._coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Configuration is immutable")
-
-    @classmethod
-    def empty(cls, dimension: int) -> "Configuration":
-        return cls((), dimension=dimension)
-
-    @classmethod
-    def from_coords(cls, coords: np.ndarray, dimension: int | None = None) -> "Configuration":
-        """Configuration of the rows of an (n, d) array (n values when d = 1)."""
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim == 1:
-            coords = coords[:, None]
-        n, d = coords.shape
-        dimension = dimension or d
-        if not dimension:
-            raise DimensionMismatch("empty configuration needs an explicit dimension")
-        if n and dimension != d:
-            raise DimensionMismatch(f"points have dimension {d}, expected {dimension}")
-        if dimension not in SUPPORTED_DIMENSIONS:
-            raise DimensionMismatch(f"dimension must be 1 or 2, got {dimension}")
-        config = cls.__new__(cls)
-        object.__setattr__(config, "_coords", _canonical(coords.reshape(n, dimension)))
-        return config
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    @property
-    def dimension(self) -> int:
-        return self._coords.shape[1]
-
-    def __len__(self) -> int:
-        return self._coords.shape[0]
-
-    def __iter__(self) -> Iterator[tuple[float, ...]]:
-        return (tuple(row) for row in self._coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self._coords.shape == other._coords.shape and bool(
-            np.all(self._coords == other._coords)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._coords.shape, self._coords.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Configuration({[tuple(row) for row in self._coords]!r})"
-
-    def min_separation(self) -> float:
-        """Smallest pairwise Euclidean distance (inf for fewer than 2 points)."""
-        if len(self) < 2:
-            return float("inf")
-        diff = self._coords[:, None, :] - self._coords[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
-
-
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """A batch of configurations drawn by one sampler on one window.
@@ -210,13 +129,17 @@ class SampleBatch:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        coords = np.asarray(self.coords, dtype=float)
+        d = self.window.dimension
+        if coords.ndim == 2 and coords.size and coords.shape[1] != d:
+            raise DimensionMismatch(f"points of dimension {coords.shape[1]} on a window of dimension {d}")
         offsets = np.array(self.offsets, dtype=np.int64)
         rising = offsets.ndim == 1 and offsets.size and np.all(np.diff(offsets) >= 0)
         if not (rising and offsets[0] == 0 and offsets[-1] == len(self.coords)):
             raise DomainError("sample offsets must rise from 0 to the number of points")
         offsets.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
-        coords = np.asarray(self.coords, dtype=float).reshape(-1, self.window.dimension)
+        coords = coords.reshape(-1, d)
         object.__setattr__(self, "coords", _canonical(coords, self.sample_ids()))
 
     @classmethod
@@ -245,27 +168,57 @@ class SampleBatch:
         return dataclasses.replace(self, coords=self.coords[keep], offsets=offsets)
 
     @cached_property
-    def configurations(self) -> tuple[Configuration, ...]:
-        """The samples as configurations, built on first access."""
-        d = self.window.dimension
-        return tuple(
-            Configuration.from_coords(self.coords[a:b], dimension=d)
-            for a, b in zip(self.offsets[:-1], self.offsets[1:])
-        )
+    def configurations(self) -> tuple["SampleBatch", ...]:
+        """Each sample as a one-sample batch with the other fields, built on first access.
+
+        Their `coords` are read-only views into this batch's; a slice of a
+        validated batch is already canonical, so it is not validated again.
+        """
+        fields = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
+        offsets: dict[int, np.ndarray] = {}  # one shared offsets array per sample size
+        out = []
+        for a, b in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
+            if b - a not in offsets:
+                offsets[b - a] = np.array([0, b - a], dtype=np.int64)
+                offsets[b - a].flags.writeable = False
+            one = object.__new__(SampleBatch)
+            # every field in declaration order, as __init__ sets them, so that
+            # the instances share one key table and stay small
+            for name, value in fields:
+                object.__setattr__(one, name, value)
+            object.__setattr__(one, "coords", self.coords[a:b])
+            object.__setattr__(one, "offsets", offsets[b - a])
+            out.append(one)
+        return tuple(out)
 
 
-def restrict(config: Configuration | SampleBatch, window: Window) -> Configuration | SampleBatch:
-    """Sub-configuration of points lying in the closed window; per sample for a batch."""
-    mask = window.contains(config.coords)
-    if isinstance(config, SampleBatch):
-        return config.subset(mask)
-    return Configuration.from_coords(config.coords[mask], dimension=config.dimension)
+def simple_points(coords, dimension: int) -> np.ndarray:
+    """Read-only copy of the rows of an (m, d) array of one simple point set, in canonical order.
+
+    Rejects a width other than `dimension`, non-finite coordinates and two
+    rows closer than COINCIDENCE.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != dimension:
+        raise DimensionMismatch(f"expected an (m, {dimension}) coordinate array, got shape {coords.shape}")
+    coords = _canonical(coords)
+    if dimension == 1:
+        # in canonical order the closest pair on the line is adjacent
+        gaps = np.diff(coords[:, 0])
+    else:
+        diff = coords[:, None, :] - coords[None, :, :]
+        gaps = np.sqrt(np.sum(diff * diff, axis=2))[np.triu_indices(len(coords), 1)]
+    if np.any(gaps < COINCIDENCE):
+        raise DuplicatePoint(f"points closer than {COINCIDENCE}")
+    return coords
 
 
-def count_in(config: Configuration | SampleBatch, window: Window) -> int | np.ndarray:
-    """Number of points inside the closed window; per sample (an array) for a batch."""
-    inside = window.contains(config.coords)
-    if isinstance(config, Configuration):
-        return int(np.sum(inside))
-    return np.bincount(config.sample_ids()[inside], minlength=len(config))
+def restrict(batch: SampleBatch, window: Window) -> SampleBatch:
+    """The points of each sample lying in the closed window."""
+    return batch.subset(window.contains(batch.coords))
 
+
+def count_in(batch: SampleBatch, window: Window) -> np.ndarray:
+    """Number of points of each sample inside the closed window."""
+    inside = window.contains(batch.coords)
+    return np.bincount(batch.sample_ids()[inside], minlength=len(batch))

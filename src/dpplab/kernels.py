@@ -109,10 +109,6 @@ class RenewalClosedForms:
         return np.where(s < 0, 0.0, out)
 
     @property
-    def mean_spacing(self) -> float:
-        return 1.0 / self.rho
-
-    @property
     def interaction_diagonal(self) -> float:
         """J(x, x) = rho * a / sigma."""
         return self.rho * self.a / self.sigma

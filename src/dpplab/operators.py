@@ -67,10 +67,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def top(self) -> float:
-        return float(self.eigenvalues[0]) if self.eigenvalues.size else 0.0
-
 
 class DiscretizedOperator:
     """A kernel operator pinned to one quadrature rule.

@@ -11,14 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Configuration, Window
+from .geometry import Window, simple_points
 from .kernels import RenewalClosedForms
 from .samplers import SampleBatch, stream
-
-
-def spacing_density(forms: RenewalClosedForms, s) -> np.ndarray:
-    """Density of the gap between consecutive points (0 for s < 0)."""
-    return forms.f(s)
 
 
 def spacing_cdf(forms: RenewalClosedForms, s) -> np.ndarray:
@@ -67,11 +62,6 @@ def _log_sinh(x: float) -> float:
     if x > 20.0:
         return x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x))
     return float(np.log(np.sinh(x)))
-
-
-def large_gap_limit(forms: RenewalClosedForms) -> float:
-    """Limit of gap_intensity as both gaps grow: the interaction diagonal."""
-    return forms.interaction_diagonal
 
 
 class _InverseCdfTable:
@@ -133,18 +123,15 @@ def sample_stationary_renewal(
     )
 
 
-def log_det_factorized(forms: RenewalClosedForms, config: Configuration) -> float:
-    """log det J(alpha, alpha) by the sorted product formula.
+def log_det_factorized(forms: RenewalClosedForms, coords) -> float:
+    """log det J(alpha, alpha) of the (m, 1) points alpha by the sorted product formula.
 
     u(x_1) v(x_n) prod_i d(gap_i), evaluated in log space; the
     determinant route must agree to near machine precision.
     """
-    if config.dimension != 1:
-        raise DomainError("factorization formula is one-dimensional")
-    m = len(config)
-    if m == 0:
+    xs = simple_points(coords, 1)[:, 0]
+    if len(xs) == 0:
         return 0.0
-    xs = config.coords[:, 0]
     amp = forms.rho * forms.a / forms.sigma
     total = forms.sigma * xs[0] + (np.log(amp) - forms.sigma * xs[-1])
     amp2 = 2.0 * forms.rho * forms.a / forms.sigma

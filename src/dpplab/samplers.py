@@ -201,8 +201,6 @@ def sample_dpp_birth_death(
     count: int,
     seed: int,
     *,
-    burn_in: float | None = None,
-    thinning: float | None = None,
     chains: int = 8,
     disc: DiscretizedOperator | None = None,
 ) -> SampleBatch:
@@ -212,20 +210,18 @@ def sample_dpp_birth_death(
     certified bound on sup_x J(x,x) from `interaction_diagonal_bound`, and
     accepted with probability c(x, xi) / B; each point dies at
     rate 1.  The acceptance ratio c(x, xi) / J(x, x) must stay in [0, 1]
-    (hard assertion).  Time is measured in death-rate units; defaults for
-    `burn_in` and `thinning` convert the usual event-count heuristics
-    (20x and 5x the expected population).  The `chains` chains run in
-    turn, chain c on its own stream `stream(seed, c)`.
+    (hard assertion).  Time is measured in death-rate units; the burn-in
+    and the thinning between kept states convert the usual event-count
+    heuristics (20x and 5x the expected population).  The `chains` chains
+    run in turn, chain c on its own stream `stream(seed, c)`.
     """
     disc = disc or discretize(spec, "K", window, n)
     jmax = interaction_diagonal_bound(disc)
     expected = max(operator_trace(disc), 1e-9)
     birth_rate = jmax * window.volume
     event_rate = birth_rate + max(expected, 1.0)
-    if burn_in is None:
-        burn_in = 20.0 * max(expected, 1.0) / event_rate
-    if thinning is None:
-        thinning = 5.0 * max(expected, 1.0) / event_rate
+    burn_in = 20.0 * max(expected, 1.0) / event_rate
+    thinning = 5.0 * max(expected, 1.0) / event_rate
     chains = max(1, min(chains, count))
     samples = []
     for c in range(chains):

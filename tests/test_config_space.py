@@ -1,11 +1,11 @@
-"""Windows, configurations, and the quadrature rules they carry."""
+"""Windows, configurations (one-sample batches), and the quadrature rules they carry."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab.errors import DimensionMismatch, DomainError, DuplicatePoint
-from dpplab.geometry import Configuration, Window, count_in, restrict
+from dpplab.geometry import SampleBatch, Window, count_in, restrict
 from dpplab.quadrature import concatenate, tensor_gauss_legendre
 
 
@@ -14,6 +14,12 @@ coord = st.floats(min_value=-50, max_value=50, allow_nan=False, width=32)
 
 def points_1d(min_size=0, max_size=12):
     return st.lists(coord, min_size=min_size, max_size=max_size, unique=True)
+
+
+def config(window: Window, points) -> SampleBatch:
+    """`points` as a one-sample batch on `window`."""
+    pts = np.asarray(points, dtype=float).reshape(-1, window.dimension)
+    return SampleBatch.from_samples(window, [pts], seed=0, method="test")
 
 
 class TestWindow:
@@ -43,49 +49,43 @@ class TestWindow:
         w = Window.interval(0.0, 1.0).pad(0.5)
         assert (w.lower[0], w.upper[0]) == (-0.5, 1.5)
 
-    def test_intersects(self):
-        a = Window.interval(0.0, 1.0)
-        assert a.intersects(Window.interval(0.5, 2.0))
-        assert not a.intersects(Window.interval(1.5, 2.0))
-
 
 class TestConfiguration:
+    """A configuration is a batch of one sample."""
+
     def test_sorted_and_immutable(self):
-        c = Configuration([(3.0,), (1.0,), (2.0,)])
+        c = config(Window.interval(0.0, 4.0), [3.0, 1.0, 2.0])
         assert c.coords[:, 0].tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(ValueError):
             c.coords[0, 0] = 9.0
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicatePoint):
-            Configuration([(1.0,), (1.0,)])
+            config(Window.interval(0.0, 4.0), [1.0, 1.0])
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
-            Configuration([(1.0,), (1.0, 2.0)])
+            SampleBatch(Window.interval(0.0, 4.0), np.array([[1.0, 2.0]]), [0, 1], seed=0, method="test")
 
     def test_empty_needs_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            Configuration([])
-        assert len(Configuration.empty(2)) == 0
+        # the window supplies the dimension of an empty sample
+        c = config(Window.box((0.0, 0.0), (1.0, 1.0)), [])
+        assert c.coords.shape == (0, 2)
+        assert c.counts().tolist() == [0]
 
     @given(points_1d())
     @settings(max_examples=60, deadline=None)
     def test_restrict_plus_complement_partitions(self, xs):
-        c = Configuration.from_coords(np.array(xs)[:, None], dimension=1) if xs else Configuration.empty(1)
+        c = config(Window.interval(-50.0, 50.0), xs)
         w = Window.interval(-10.0, 10.0)
         inside = restrict(c, w)
-        assert len(inside) == count_in(c, w)
-        assert len(inside) == int(np.sum(w.contains(c.coords))) if len(c) else len(inside) == 0
+        assert inside.counts().tolist() == count_in(c, w).tolist() == [int(np.sum(w.contains(c.coords)))]
+        # the complement holds the other points
+        outside = c.subset(~w.contains(c.coords))
+        assert inside.counts()[0] + outside.counts()[0] == len(xs)
         # restriction is idempotent
-        assert restrict(inside, w) == inside
-
-    @given(points_1d(min_size=1))
-    @settings(max_examples=60, deadline=None)
-    def test_min_separation_positive(self, xs):
-        c = Configuration.from_coords(np.array(xs)[:, None], dimension=1)
-        if len(c) > 1:
-            assert c.min_separation() > 0.0
+        again = restrict(inside, w)
+        assert np.array_equal(again.coords, inside.coords) and np.array_equal(again.offsets, inside.offsets)
 
 
 class TestQuadrature:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab.densities import (
-    DeterminantRatio,
     candidate_intensity,
     cluster_intensity,
     compound_intensity,
@@ -20,10 +19,17 @@ from dpplab.densities import (
     psd_logdet,
     vacuum_probability,
 )
-from dpplab.densities import LOG_UNDERFLOW, RCOND_EXACT, _det_fraction, _exact_ratio, _log_of_fraction
-from dpplab.errors import DomainError, DuplicatePoint, NoFiniteRange
+from dpplab.densities import (
+    EXACT_SIZE_LIMIT,
+    LOG_UNDERFLOW,
+    RCOND_EXACT,
+    _det_fraction,
+    _exact_logdets,
+    _log_of_fraction,
+)
+from dpplab.errors import DimensionMismatch, DomainError, DuplicatePoint, NoFiniteRange
 from dpplab.experiments import _cpi_family_run
-from dpplab.geometry import Configuration, SampleBatch, Window
+from dpplab.geometry import COINCIDENCE, SampleBatch, Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
 from dpplab.operators import discretize, fredholm_det_I_minus, interaction_values
 from dpplab.samplers import stream
@@ -32,14 +38,34 @@ SPEC = RenewalExponential(0.25, 1.0)
 FR = FiniteRangeFourier(1.0, 0.8, dimension=1)
 
 
+def batch_of(pts: np.ndarray) -> SampleBatch:
+    """An (m, 1) point array as a one-sample batch."""
+    return SampleBatch.from_samples(Window.interval(-100.0, 100.0), [pts], seed=0, method="test")
+
+
+def one(*xs: float) -> SampleBatch:
+    """The points `xs` of the line as a one-sample batch."""
+    return batch_of(np.array(xs, dtype=float).reshape(-1, 1))
+
+
+def _value(num: float, den: float) -> float:
+    # the ratio convention: 0 where either log-determinant is -inf
+    return 0.0 if np.isneginf(num) or np.isneginf(den) else float(np.exp(num - den))
+
+
 class TestDeterminantRatio:
     def test_plain_ratio(self):
-        r = DeterminantRatio(math.log(6.0), math.log(2.0))
-        assert r.value == pytest.approx(3.0)
+        (r,) = determinant_ratios([np.diag([3.0, 2.0])], [1])
+        assert r == pytest.approx(3.0)
 
     def test_zero_denominator_convention(self):
-        assert DeterminantRatio(0.0, float("-inf")).value == 0.0
-        assert DeterminantRatio(float("-inf"), 0.0).value == 0.0
+        # -I has det +1 at even size, and its 1 x 1 tail has det -1: the
+        # denominator's log is -inf; a zero on the diagonal makes the numerator's
+        # -inf.  Size 2 takes the exact route, EXACT_SIZE_LIMIT + 2 the float64 one
+        for m in (2, EXACT_SIZE_LIMIT + 2):
+            singular = np.eye(m)
+            singular[0, 0] = 0.0
+            assert determinant_ratios([-np.eye(m), singular], [1, 1]).tolist() == [0.0, 0.0]
 
     def test_psd_logdet_zero_paths(self):
         assert psd_logdet(np.zeros((2, 2))) == float("-inf")
@@ -89,11 +115,11 @@ class TestDeterminantRatios:
                 expected = _one_logdet(block), _one_logdet(block[-k:, -k:]) if k else 0.0
             elif exact[0] < 0 and exact[1] < 0:
                 # a roundoff-indefinite tail: the value is still the exact quotient
-                assert ratio.value == pytest.approx(float(exact[0] / exact[1]), rel=1e-12)
+                assert ratio == pytest.approx(float(exact[0] / exact[1]), rel=1e-12)
                 continue
             else:
                 expected = _log_of_fraction(exact[0]), _log_of_fraction(exact[1])
-            assert (ratio.numerator_logdet, ratio.denominator_logdet) == expected
+            assert ratio == _value(*expected)
 
     def test_slightly_indefinite_tail_gives_its_schur_complement(self):
         # a tail C with eigenvalues (1, 0.5, -1e-10) and a head row b = C u
@@ -113,34 +139,71 @@ class TestDeterminantRatios:
         schur = entries[0, 0] - (head.T * mpmath.inverse(tail) * head)[0, 0]
         assert mpmath.det(entries) < 0 and mpmath.det(tail) < 0
         (ratio,) = determinant_ratios([block], [3])
-        assert ratio.value == pytest.approx(float(schur), rel=1e-9)
-        assert ratio.value == pytest.approx(0.3, rel=1e-4)
+        assert ratio == pytest.approx(float(schur), rel=1e-9)
+        assert ratio == pytest.approx(0.3, rel=1e-4)
 
     def test_empty_block_is_one(self):
         (r,) = determinant_ratios([np.zeros((0, 0))], [0])
-        assert r.value == 1.0
+        assert r == 1.0
 
 
 class TestCorrelation:
     def test_empty_is_one(self):
-        assert correlation(SPEC, Configuration.empty(1)) == 1.0
+        assert correlation(SPEC, np.empty((0, 1))) == 1.0
 
     def test_singleton_is_intensity(self):
-        assert correlation(SPEC, Configuration([(3.7,)])) == pytest.approx(0.25)
+        assert correlation(SPEC, np.array([[3.7]])) == pytest.approx(0.25)
 
     def test_pair_closed_form(self):
         # rho^2 (1 - exp(-2 a s)) for the exponential correlation
         for s in (0.05, math.log(2.0), 2.4):
-            got = correlation(SPEC, Configuration([(0.0,), (s,)]))
+            got = correlation(SPEC, np.array([[0.0], [s]]))
             assert got == pytest.approx(0.0625 * (1.0 - math.exp(-2.0 * s)), rel=1e-12)
 
     def test_repulsive(self):
         # pair correlation vanishes linearly at contact: ratio ~ 2 a s
         s = 0.01
-        close = correlation(SPEC, Configuration([(0.0,), (s,)]))
-        far = correlation(SPEC, Configuration([(0.0,), (8.0,)]))
+        close = correlation(SPEC, np.array([[0.0], [s]]))
+        far = correlation(SPEC, np.array([[0.0], [8.0]]))
         assert close < far
         assert close / far == pytest.approx(2.0 * s, rel=0.02)
+
+
+class TestPointArrays:
+    """`correlation` and `janossy_density` take one simple point set as an (m, d) array."""
+
+    window = Window.interval(0.0, 4.0)
+    disc = discretize(SPEC, "K", window, 80)
+
+    def both(self, coords):
+        return (
+            correlation(SPEC, coords),
+            janossy_density(SPEC, self.window, 80, coords, disc=self.disc),
+        )
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5 * COINCIDENCE], ids=["exact", "within-coincidence"])
+    def test_coincident_rows_raise(self, gap):
+        with pytest.raises(DuplicatePoint):
+            correlation(SPEC, np.array([[1.0], [2.0], [1.0 + gap]]))
+        with pytest.raises(DuplicatePoint):
+            janossy_density(SPEC, self.window, 80, np.array([[1.0], [2.0], [1.0 + gap]]), disc=self.disc)
+
+    def test_nan_raises(self):
+        with pytest.raises(DomainError):
+            correlation(SPEC, np.array([[1.0], [np.nan]]))
+        with pytest.raises(DomainError):
+            janossy_density(SPEC, self.window, 80, np.array([[1.0], [np.nan]]), disc=self.disc)
+
+    @pytest.mark.parametrize("coords", [np.array([[1.0, 2.0]]), np.array([1.0, 2.0])], ids=["width-2", "flat"])
+    def test_wrong_width_raises(self, coords):
+        with pytest.raises(DimensionMismatch):
+            correlation(SPEC, coords)
+        with pytest.raises(DimensionMismatch):
+            janossy_density(SPEC, self.window, 80, coords, disc=self.disc)
+
+    def test_unsorted_rows_give_the_sorted_bits(self):
+        pts = np.array([[3.3], [0.5], [2.6], [1.9]])
+        assert self.both(pts) == self.both(np.sort(pts, axis=0))
 
 
 class TestJanossy:
@@ -149,19 +212,19 @@ class TestJanossy:
 
     def test_empty_is_vacuum(self):
         vac = vacuum_probability(SPEC, self.window, 80, disc=self.disc)
-        assert janossy_density(SPEC, self.window, 80, Configuration.empty(1), disc=self.disc) == vac
+        assert janossy_density(SPEC, self.window, 80, np.empty((0, 1)), disc=self.disc) == vac
         assert 0.0 < vac < 1.0
 
     def test_two_route_determinant(self):
-        cfg = Configuration([(0.5,), (1.9,), (3.3,)])
+        cfg = np.array([[0.5], [1.9], [3.3]])
         got = janossy_density(SPEC, self.window, 80, cfg, disc=self.disc)
         vac = fredholm_det_I_minus(self.disc)
-        block = interaction_values(self.disc, cfg.coords)
+        block = interaction_values(self.disc, cfg)
         assert got == pytest.approx(vac * float(np.linalg.det(block)), rel=1e-10)
 
     def test_config_outside_window_rejected(self):
         with pytest.raises(DomainError):
-            janossy_density(SPEC, self.window, 80, Configuration([(5.0,)]), disc=self.disc)
+            janossy_density(SPEC, self.window, 80, np.array([[5.0]]), disc=self.disc)
 
     def test_low_order_terms_match_brute_force(self):
         # e_1, e_2 of the weighted spectrum vs direct minor sums
@@ -202,15 +265,15 @@ class TestCompoundIntensity:
     disc = discretize(SPEC, "K", window, 100)
 
     def test_empty_added_is_one(self):
-        given = Configuration([(1.0,), (4.0,)])
-        r = compound_intensity(SPEC, self.window, 100, Configuration.empty(1), given, disc=self.disc)
-        assert r.value == pytest.approx(1.0, rel=1e-12)
+        given = one(1.0, 4.0)
+        (r,) = compound_intensity(SPEC, self.window, 100, one(), given, disc=self.disc)
+        assert r == pytest.approx(1.0, rel=1e-12)
 
     def test_empty_given_is_determinant(self):
-        added = Configuration([(2.0,), (3.5,)])
-        r = compound_intensity(SPEC, self.window, 100, added, Configuration.empty(1), disc=self.disc)
+        added = one(2.0, 3.5)
+        (r,) = compound_intensity(SPEC, self.window, 100, added, one(), disc=self.disc)
         block = interaction_values(self.disc, added.coords)
-        assert r.value == pytest.approx(float(np.linalg.det(block)), rel=1e-10)
+        assert r == pytest.approx(float(np.linalg.det(block)), rel=1e-10)
 
     def test_diagonal_bound_and_monotonicity(self):
         rng = stream(123, 0)
@@ -218,12 +281,11 @@ class TestCompoundIntensity:
             pts = np.sort(rng.uniform(0.2, 5.8, size=4))
             if np.diff(pts).min() < 1e-6:
                 continue
-            a = Configuration([(pts[0],)])
-            others = [Configuration([(p,)]) for p in pts[1:]]
-            xi2 = Configuration([(pts[1],), (pts[2],)])
-            xi3 = Configuration([(pts[1],), (pts[2],), (pts[3],)])
-            c2 = compound_intensity(SPEC, self.window, 100, a, xi2, disc=self.disc).value
-            c3 = compound_intensity(SPEC, self.window, 100, a, xi3, disc=self.disc).value
+            a = one(pts[0])
+            xi2 = one(pts[1], pts[2])
+            xi3 = one(pts[1], pts[2], pts[3])
+            (c2,) = compound_intensity(SPEC, self.window, 100, a, xi2, disc=self.disc)
+            (c3,) = compound_intensity(SPEC, self.window, 100, a, xi3, disc=self.disc)
             bound = float(
                 interaction_values(self.disc, a.coords)[0, 0]
             )
@@ -243,8 +305,8 @@ class TestCompoundIntensity:
         G = SampleBatch.from_samples(self.window, given, seed=0, method="test")
         got = compound_intensity(SPEC, self.window, 100, A, G, disc=self.disc)
         for a, g, ratio in zip(A.configurations, G.configurations, got):
-            one = compound_intensity(SPEC, self.window, 100, a, g, disc=self.disc)
-            assert ratio.value == pytest.approx(one.value, rel=1e-12)
+            (single,) = compound_intensity(SPEC, self.window, 100, a, g, disc=self.disc)
+            assert ratio == pytest.approx(single, rel=1e-12)
 
     def test_batches_keep_the_checks(self):
         one = SampleBatch.from_samples(self.window, [np.array([[2.0]])], seed=0, method="test")
@@ -262,17 +324,17 @@ class TestCompoundIntensity:
             compound_intensity(SPEC, self.window, 100, one, other, disc=self.disc)
         nothing = SampleBatch.from_samples(self.window, [np.empty((0, 1))] * 2, seed=0, method="test")
         got = compound_intensity(SPEC, self.window, 100, other, nothing, disc=self.disc)
-        assert len(got) == 2 and got[0].value == got[1].value
+        assert len(got) == 2 and got[0] == got[1]
 
     def test_chain_rule_telescopes(self):
-        added = Configuration([(1.2,), (2.8,)])
-        given = Configuration([(0.4,), (4.4,)])
-        joint = compound_intensity(SPEC, self.window, 100, added, given, disc=self.disc).value
+        added = one(1.2, 2.8)
+        given = one(0.4, 4.4)
+        (joint,) = compound_intensity(SPEC, self.window, 100, added, given, disc=self.disc)
         # the product of one-point intensities c(x_i | x_1..x_{i-1}, given)
         prod, acc = 1.0, given.coords
         for pt in added.coords:
-            one = Configuration.from_coords(pt[None, :])
-            prod *= compound_intensity(SPEC, self.window, 100, one, Configuration.from_coords(acc), disc=self.disc).value
+            (c,) = compound_intensity(SPEC, self.window, 100, batch_of(pt[None, :]), batch_of(acc), disc=self.disc)
+            prod *= c
             acc = np.concatenate([acc, pt[None, :]])
         assert joint == pytest.approx(prod, rel=1e-9)
 
@@ -282,27 +344,23 @@ class TestCompoundIntensity:
         # Schur-form K keeps the kink of J, the block's rcond is 2.3e-4
         # (above RCOND_EXACT), and float64 and exact arithmetic must agree
         fr_disc = discretize(FR, "K", self.window, 100)
-        added = Configuration([(1.682901480186717,)])
-        eta = Configuration(
-            [
-                (0.8021827446720384,),
-                (0.8654101828302503,),
-                (0.8666338876903683,),
-                (0.868215301915124,),
-                (2.621641411449126,),
-                (4.717198611239356,),
-            ]
+        added = one(1.682901480186717)
+        eta = one(
+            0.8021827446720384,
+            0.8654101828302503,
+            0.8666338876903683,
+            0.868215301915124,
+            2.621641411449126,
+            4.717198611239356,
         )
-        xi = Configuration(
-            [(0.8021827446720384,), (0.8654101828302503,), (0.868215301915124,)]
-        )
-        c_eta = compound_intensity(FR, self.window, 100, added, eta, disc=fr_disc).value
-        c_xi = compound_intensity(FR, self.window, 100, added, xi, disc=fr_disc).value
+        xi = one(0.8021827446720384, 0.8654101828302503, 0.868215301915124)
+        (c_eta,) = compound_intensity(FR, self.window, 100, added, eta, disc=fr_disc)
+        (c_xi,) = compound_intensity(FR, self.window, 100, added, xi, disc=fr_disc)
         diag = float(interaction_values(fr_disc, added.coords)[0, 0])
         # reference value from 60-digit determinants of the same entries
         assert c_eta == pytest.approx(0.751580448551, rel=1e-9)
         block = interaction_values(fr_disc, np.concatenate([added.coords, eta.coords]))
-        assert _exact_ratio(block, len(eta)).value == pytest.approx(c_eta, rel=1e-12)
+        assert _value(*_exact_logdets(block, len(eta.coords))) == pytest.approx(c_eta, rel=1e-12)
         assert c_xi >= c_eta - 1e-12
         assert c_eta <= diag + 1e-12
 
@@ -310,17 +368,17 @@ class TestCompoundIntensity:
         # three points 1e-5 apart: the block's rcond falls below RCOND_EXACT,
         # so the ratios come from exact rational determinants and keep their order
         fr_disc = discretize(FR, "K", self.window, 100)
-        added = Configuration([(1.682901480186717,)])
-        cluster = [(0.8654101828302503 + h,) for h in (0.0, 1e-5, 2e-5)]
-        eta = Configuration([(0.8021827446720384,), *cluster, (2.621641411449126,), (4.717198611239356,)])
-        xi = Configuration([(0.8021827446720384,), cluster[0], cluster[2]])
+        added = one(1.682901480186717)
+        cluster = [0.8654101828302503 + h for h in (0.0, 1e-5, 2e-5)]
+        eta = one(0.8021827446720384, *cluster, 2.621641411449126, 4.717198611239356)
+        xi = one(0.8021827446720384, cluster[0], cluster[2])
         block = interaction_values(fr_disc, np.concatenate([added.coords, eta.coords]))
         spectrum = np.linalg.eigvalsh(block)
         assert spectrum[0] < RCOND_EXACT * spectrum[-1]
-        c_eta = compound_intensity(FR, self.window, 100, added, eta, disc=fr_disc).value
-        c_xi = compound_intensity(FR, self.window, 100, added, xi, disc=fr_disc).value
+        (c_eta,) = compound_intensity(FR, self.window, 100, added, eta, disc=fr_disc)
+        (c_xi,) = compound_intensity(FR, self.window, 100, added, xi, disc=fr_disc)
         diag = float(interaction_values(fr_disc, added.coords)[0, 0])
-        assert c_eta == _exact_ratio(block, len(eta)).value
+        assert c_eta == _value(*_exact_logdets(block, len(eta.coords)))
         assert c_xi >= c_eta
         assert c_eta <= diag
 
@@ -358,40 +416,40 @@ class TestCompoundIntensity:
 
 class TestCandidatesAndClusters:
     def test_candidate_sequence_non_increasing(self):
-        added = Configuration([(10.0,)])
-        given = Configuration([(8.5,), (11.2,), (3.0,), (17.0,)])
+        added = one(10.0)
+        given = one(8.5, 11.2, 3.0, 17.0)
         windows = [Window.interval(10.0 - h, 10.0 + h) for h in (2.0, 4.0, 8.0, 10.0)]
-        vals = np.array([candidate_intensity(SPEC, added, given, w).value for w in windows])
+        vals = np.concatenate([candidate_intensity(SPEC, added, given, w) for w in windows])
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_candidate_restricts_given(self):
-        added = Configuration([(10.0,)])
-        given = Configuration([(8.5,), (17.0,)])
+        added = one(10.0)
+        given = one(8.5, 17.0)
         small = Window.interval(9.0, 11.0)
-        r = candidate_intensity(SPEC, added, given, small)
+        (r,) = candidate_intensity(SPEC, added, given, small)
         # only the in-window neighbor matters
-        direct = candidate_intensity(SPEC, added, Configuration([(8.5,)]), small)
-        assert r.value == pytest.approx(direct.value, rel=1e-12)
+        (direct,) = candidate_intensity(SPEC, added, one(8.5), small)
+        assert r == pytest.approx(direct, rel=1e-12)
 
     def test_cluster_equals_full_ratio(self):
-        added = Configuration([(6.0,)])
-        given = Configuration([(5.4,), (6.7,), (7.5,), (9.2,), (1.1,), (1.9,)])
+        added = one(6.0)
+        given = one(5.4, 6.7, 7.5, 9.2, 1.1, 1.9)
         window = Window.interval(0.0, 12.0)
-        cl = cluster_intensity(FR, added, given).value
-        cand = candidate_intensity(FR, added, given, window).value
+        (cl,) = cluster_intensity(FR, added, given)
+        (cand,) = candidate_intensity(FR, added, given, window)
         assert cl == pytest.approx(cand, rel=1e-12)
 
     def test_cluster_ignores_far_points(self):
-        added = Configuration([(6.0,)])
-        near = Configuration([(5.6,), (6.5,)])
-        far = Configuration([(5.6,), (6.5,), (0.3,), (11.8,)])
-        a = cluster_intensity(FR, added, near).value
-        b = cluster_intensity(FR, added, far).value
+        added = one(6.0)
+        near = one(5.6, 6.5)
+        far = one(5.6, 6.5, 0.3, 11.8)
+        (a,) = cluster_intensity(FR, added, near)
+        (b,) = cluster_intensity(FR, added, far)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_cluster_needs_finite_range(self):
         with pytest.raises(NoFiniteRange):
-            cluster_intensity(SPEC, Configuration([(0.0,)]), Configuration([(1.0,)]))
+            cluster_intensity(SPEC, one(0.0), one(1.0))
 
 
 def _instances(count: int, seed: int):
@@ -442,7 +500,7 @@ class TestBatchRatios:
             pts = np.concatenate([a, g])
             assert r == determinant_ratios([spec.j_values(pts, pts)], [len(g)])[0]
             if i < 20:
-                single = candidate_intensity(spec, Configuration.from_coords(a), Configuration.from_coords(g, 1), window)
+                (single,) = candidate_intensity(spec, batch_of(a), batch_of(g), window)
                 assert single == r
         assert empty > 10
 
@@ -459,7 +517,7 @@ class TestBatchRatios:
             pts = np.concatenate([a, hull])
             assert r == determinant_ratios([FR.j_values(pts, pts)], [len(hull)])[0]
             if i < 20:
-                assert cluster_intensity(FR, Configuration.from_coords(a), Configuration.from_coords(g, 1)) == r
+                assert cluster_intensity(FR, batch_of(a), batch_of(g))[0] == r
         assert empty > 0
 
     def test_coincident_pair_in_one_sample_raises(self):
@@ -478,12 +536,10 @@ class TestConditionalKernel:
         # det J^xi(alpha, alpha) = c(alpha | xi) for the conditional kernel in its
         # Schur form J^xi(x, y) = J(x, y) - J(x, xi) J(xi, xi)^{-1} J(xi, y)
         outer = Window.interval(0.0, 8.0)
-        given = Configuration([(1.0,), (2.2,), (6.1,), (7.4,)])
+        given = one(1.0, 2.2, 6.1, 7.4)
         disc = discretize(SPEC, "K", outer, 120)
-        alpha = Configuration([(3.4,), (4.6,)])
-        direct = compound_intensity(
-            SPEC, outer, 120, alpha, given, disc=disc
-        ).value
+        alpha = one(3.4, 4.6)
+        (direct,) = compound_intensity(SPEC, outer, 120, alpha, given, disc=disc)
         j_xi = interaction_values(disc, given.coords)
         j_axi = interaction_values(disc, alpha.coords, given.coords)
         conditional = interaction_values(disc, alpha.coords) - j_axi @ np.linalg.inv(j_xi) @ j_axi.T

@@ -75,7 +75,7 @@ class TestDiscretization:
         # tr J_local <= tr K / (1 - ||K||)
         disc = discretize(SPEC, "K", Window.interval(0.0, 8.0), 120)
         tr_k = operator_trace(disc)
-        norm = disc.spectral().top
+        norm = float(disc.spectral().eigenvalues[0])  # eigenvalues are descending
         tr_j = np.trace(_resolvent_route(disc, disc.quad))
         assert tr_j <= tr_k / (1.0 - norm) + 1e-12
 

@@ -5,8 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpplab.errors import DomainError
-from dpplab.geometry import Configuration, Window
+from dpplab.geometry import SampleBatch, Window
 from dpplab.percolation import decompose, hull_of, spanning
+
+
+def config(points, dimension: int = 1) -> SampleBatch:
+    """`points` as a one-sample batch."""
+    pts = np.asarray(points, dtype=float).reshape(-1, dimension)
+    window = Window.box((-100.0,) * dimension, (100.0,) * dimension)
+    return SampleBatch.from_samples(window, [pts], seed=0, method="test")
 
 
 def brute_force_labels(coords: np.ndarray, radius: float) -> np.ndarray:
@@ -58,12 +65,7 @@ class TestDecompose:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_brute_force_1d(self, xs, radius):
-        cfg = (
-            Configuration.from_coords(np.array(xs)[:, None], dimension=1)
-            if xs
-            else Configuration.empty(1)
-        )
-        dec = decompose(cfg, radius)
+        dec = decompose(config(xs), radius)
         ref = brute_force_labels(dec.coords, radius)
         assert same_partition(dec.labels, ref)
 
@@ -71,51 +73,49 @@ class TestDecompose:
         rng = np.random.default_rng(20)
         for _ in range(25):
             pts = rng.uniform(0, 12, size=(rng.integers(1, 30), 2))
-            cfg = Configuration.from_coords(pts)
-            dec = decompose(cfg, 0.8)
+            dec = decompose(config(pts, 2), 0.8)
             assert same_partition(dec.labels, brute_force_labels(dec.coords, 0.8))
 
     def test_negative_coordinates(self):
-        cfg = Configuration([(-5.0,), (-4.2,), (3.0,)])
-        dec = decompose(cfg, 0.5)
+        dec = decompose(config([-5.0, -4.2, 3.0]), 0.5)
         # -5 and -4.2 connect at link distance 1.0, 3.0 stays apart
         assert dec.n_clusters == 2
-        assert dec.sizes().tolist() in ([2, 1], [1, 2])
+        assert np.bincount(dec.labels).tolist() in ([2, 1], [1, 2])
 
     def test_invalid_radius(self):
         with pytest.raises(DomainError):
-            decompose(Configuration([(0.0,)]), 0.0)
+            decompose(config([0.0]), 0.0)
 
     def test_largest_fraction(self):
-        cfg = Configuration([(0.0,), (0.5,), (9.0,)])
-        dec = decompose(cfg, 0.5)
-        assert dec.largest_fraction() == pytest.approx(2.0 / 3.0)
-        assert decompose(Configuration.empty(1), 1.0).largest_fraction() == 0.0
+        dec = decompose(config([0.0, 0.5, 9.0]), 0.5)
+        assert np.bincount(dec.labels).max() / len(dec.labels) == pytest.approx(2.0 / 3.0)
+        empty = decompose(config([]), 1.0)
+        assert empty.n_clusters == 0 and empty.labels.size == 0
 
 
 class TestHull:
     def test_middle_point_choses_its_own_cluster(self):
         # regression: the far pair must stay out of the hull even though
         # it sorts before the added point
-        added = Configuration([(6.0,)])
-        given = Configuration([(5.4,), (6.7,), (7.5,), (9.2,), (1.1,), (1.9,)])
+        added = config([6.0])
+        given = config([5.4, 6.7, 7.5, 9.2, 1.1, 1.9])
         hull = hull_of(added, given, 1.0)
         assert hull.coords[:, 0].tolist() == [5.4, 6.7, 7.5, 9.2]
 
     def test_chain_connectivity(self):
-        added = Configuration([(0.0,)])
-        chain = Configuration([(1.5,), (3.0,), (4.5,), (9.0,)])
+        added = config([0.0])
+        chain = config([1.5, 3.0, 4.5, 9.0])
         hull = hull_of(added, chain, 1.0)
         # links at distance <= 2: the chain joins, the straggler at 9 stays out
         assert hull.coords[:, 0].tolist() == [1.5, 3.0, 4.5]
 
     def test_empty_given(self):
-        out = hull_of(Configuration([(0.0,)]), Configuration.empty(1), 1.0)
-        assert len(out) == 0
+        out = hull_of(config([0.0]), config([]), 1.0)
+        assert out.counts().tolist() == [0]
 
     def test_multiple_added_points_union(self):
-        added = Configuration([(0.0,), (10.0,)])
-        given = Configuration([(1.0,), (9.5,), (5.0,)])
+        added = config([0.0, 10.0])
+        given = config([1.0, 9.5, 5.0])
         hull = hull_of(added, given, 0.6)
         assert hull.coords[:, 0].tolist() == [1.0, 9.5]
 
@@ -123,21 +123,21 @@ class TestHull:
 class TestSpanning:
     def test_simple_span(self):
         w = Window.interval(0.0, 10.0)
-        chain = Configuration.from_coords(np.arange(0.5, 10.0, 1.0)[:, None])
-        assert spanning(chain, w, 0.6)
-        assert not spanning(chain, w, 0.3)
+        chain = config(np.arange(0.5, 10.0, 1.0))
+        assert spanning(chain, w, 0.6).tolist() == [True]
+        assert spanning(chain, w, 0.3).tolist() == [False]
 
     def test_empty_never_spans(self):
-        assert not spanning(Configuration.empty(1), Window.interval(0.0, 5.0), 1.0)
+        assert spanning(config([]), Window.interval(0.0, 5.0), 1.0).tolist() == [False]
 
     def test_balls_touch_faces(self):
         # a single ball wider than the window spans it
         w = Window.interval(0.0, 1.0)
-        assert spanning(Configuration([(0.5,)]), w, 0.6)
+        assert spanning(config([0.5]), w, 0.6).tolist() == [True]
 
     def test_2d_axis(self):
         w = Window.box((0.0, 0.0), (4.0, 4.0))
-        column = Configuration([(2.0, 0.5), (2.0, 1.5), (2.0, 2.5), (2.0, 3.5)])
-        assert spanning(column, w, 0.51, axis=1)
-        assert not spanning(column, w, 0.51, axis=0)
+        column = config([(2.0, 0.5), (2.0, 1.5), (2.0, 2.5), (2.0, 3.5)], 2)
+        assert spanning(column, w, 0.51, axis=1).tolist() == [True]
+        assert spanning(column, w, 0.51, axis=0).tolist() == [False]
 

@@ -9,7 +9,7 @@ import scipy.stats
 from dpplab import renewal
 from dpplab.densities import psd_logdet
 from dpplab.errors import DomainError
-from dpplab.geometry import Configuration, Window
+from dpplab.geometry import Window
 from dpplab.kernels import RenewalExponential, renewal_closed_forms
 
 FORMS = renewal_closed_forms(0.25, 1.0)
@@ -21,19 +21,17 @@ class TestClosedForms:
         assert FORMS.sigma == pytest.approx(math.sqrt(0.5))
 
     def test_spacing_density_normalized(self):
-        total, err = scipy.integrate.quad(lambda s: renewal.spacing_density(FORMS, s), 0, 200)
+        total, err = scipy.integrate.quad(FORMS.f, 0, 200)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_spacing_mean_is_inverse_intensity(self):
-        mean, _ = scipy.integrate.quad(
-            lambda s: s * renewal.spacing_density(FORMS, s), 0, 400
-        )
-        assert mean == pytest.approx(4.0, rel=1e-9)
-        assert FORMS.mean_spacing == pytest.approx(4.0)
+        # the integral of s f(s) is the mean spacing 1 / rho
+        mean, _ = scipy.integrate.quad(lambda s: s * FORMS.f(s), 0, 400)
+        assert mean == pytest.approx(1.0 / FORMS.rho, rel=1e-9)
 
     def test_cdf_matches_density_integral(self):
         for s in (0.3, 1.0, 2.7, 6.0):
-            num, _ = scipy.integrate.quad(lambda u: renewal.spacing_density(FORMS, u), 0, s)
+            num, _ = scipy.integrate.quad(FORMS.f, 0, s)
             assert renewal.spacing_cdf(FORMS, s) == pytest.approx(num, abs=1e-10)
 
     def test_delay_cdf_is_stationary_tail_integral(self):
@@ -59,14 +57,15 @@ class TestGapIntensity:
         )
 
     def test_large_gap_limit(self):
-        lim = renewal.large_gap_limit(FORMS)
-        assert lim == pytest.approx(FORMS.interaction_diagonal)
+        # as both gaps grow the intensity tends to the interaction diagonal
+        lim = FORMS.interaction_diagonal
+        assert lim == pytest.approx(FORMS.rho * FORMS.a / FORMS.sigma)
         assert renewal.gap_intensity(FORMS, 40.0, 40.0) == pytest.approx(lim, rel=1e-9)
 
     def test_no_overflow_for_huge_gaps(self):
         val = renewal.gap_intensity(FORMS, 4000.0, 4000.0)
         assert np.isfinite(val)
-        assert val == pytest.approx(renewal.large_gap_limit(FORMS), rel=1e-12)
+        assert val == pytest.approx(FORMS.interaction_diagonal, rel=1e-12)
 
     def test_vanishes_at_contact(self):
         with pytest.raises(DomainError):
@@ -100,13 +99,14 @@ class TestFactorization:
             xs = np.sort(rng.uniform(0, 25, size=m))
             if m > 1 and np.diff(xs).min() < 1e-6:
                 continue
-            cfg = Configuration.from_coords(xs[:, None], dimension=1)
-            direct = psd_logdet(SPEC.j_values(cfg.coords, cfg.coords))
-            fact = renewal.log_det_factorized(FORMS, cfg)
+            direct = psd_logdet(SPEC.j_values(xs[:, None], xs[:, None]))
+            fact = renewal.log_det_factorized(FORMS, xs[:, None])
             assert fact == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            # the formula sorts its points first
+            assert renewal.log_det_factorized(FORMS, xs[::-1, None]) == fact
 
     def test_empty_config(self):
-        assert renewal.log_det_factorized(FORMS, Configuration.empty(1)) == 0.0
+        assert renewal.log_det_factorized(FORMS, np.empty((0, 1))) == 0.0
 
 
 class TestSampling:
@@ -128,5 +128,4 @@ class TestSampling:
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - 0.25 * 40.0) <= 4.0 * se
         for cfg in batch.configurations[:20]:
-            if len(cfg):
-                assert np.all(window.contains(cfg.coords))
+            assert np.all(window.contains(cfg.coords))

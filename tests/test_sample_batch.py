@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from dpplab.errors import DomainError, DuplicatePoint
-from dpplab.geometry import Configuration, SampleBatch, Window, count_in
+from dpplab.geometry import SampleBatch, Window, count_in
 from dpplab.percolation import close_pairs, decompose, spanning
 from dpplab.samplers import load_batch, max_quadrant_count, neighbor_count, save_batch, total_count
 
@@ -30,10 +30,10 @@ def batches(draw, dimension):
 
 
 # ---------------------------------------------------------------------------
-# per-configuration references
+# per-configuration references, each on a one-sample batch
 
 
-def ref_max_quadrant(config: Configuration, window: Window) -> float:
+def ref_max_quadrant(config: SampleBatch, window: Window) -> float:
     if window.dimension == 1:
         edges = np.linspace(window.lower[0], window.upper[0], 5)
         boxes = [((edges[k],), (edges[k + 1],)) for k in range(4)]
@@ -46,12 +46,12 @@ def ref_max_quadrant(config: Configuration, window: Window) -> float:
         ]
     best = 0
     for lo, hi in boxes:
-        inside = [all(l <= c <= h for c, l, h in zip(p, lo, hi)) for p in config]
+        inside = [all(l <= c <= h for c, l, h in zip(p, lo, hi)) for p in config.coords]
         best = max(best, sum(inside))
     return float(best)
 
 
-def ref_neighbors(config: Configuration, radius: float) -> float:
+def ref_neighbors(config: SampleBatch, radius: float) -> float:
     pts = config.coords
     return float(
         sum(
@@ -62,14 +62,14 @@ def ref_neighbors(config: Configuration, radius: float) -> float:
     )
 
 
-def ref_labels(config: Configuration, radius: float) -> np.ndarray:
+def ref_labels(config: SampleBatch, radius: float) -> np.ndarray:
     diff = config.coords[:, None, :] - config.coords[None, :, :]
     adjacent = np.sum(diff * diff, axis=2) <= (2 * radius) ** 2
     return connected_components(adjacent, directed=False)[1]
 
 
-def ref_spanning(config: Configuration, window: Window, radius: float, axis: int) -> bool:
-    if len(config) == 0:
+def ref_spanning(config: SampleBatch, window: Window, radius: float, axis: int) -> bool:
+    if len(config.coords) == 0:
         return False
     lo, hi = window.lower[axis] + radius, window.upper[axis] - radius
     if hi < lo:
@@ -94,10 +94,10 @@ class TestBatchAgainstReference:
     def test_counts(self, dimension, data):
         batch = data.draw(batches(dimension))
         configs = batch.configurations
-        assert total_count(batch).tolist() == [float(len(c)) for c in configs]
+        assert total_count(batch).tolist() == [float(len(c.coords)) for c in configs]
         assert max_quadrant_count(batch).tolist() == [ref_max_quadrant(c, batch.window) for c in configs]
         sub = Window(batch.window.lower, tuple(0.5 * u for u in batch.window.upper))
-        assert count_in(batch, sub).tolist() == [count_in(c, sub) for c in configs]
+        assert count_in(batch, sub).tolist() == [count_in(c, sub)[0] for c in configs]
 
     @given(data=st.data(), radius=RADIUS)
     @settings(max_examples=60, deadline=None)
@@ -130,7 +130,7 @@ class TestBatchAgainstReference:
             spans = spanning(batch, window, radius, axis=axis)
             expected = [ref_spanning(c, window, radius, axis) for c in batch.configurations]
             assert spans.tolist() == expected
-            assert [spanning(c, window, radius, axis=axis) for c in batch.configurations] == expected
+            assert [spanning(c, window, radius, axis=axis)[0] for c in batch.configurations] == expected
 
 
 class TestSampleBatch:
@@ -146,9 +146,26 @@ class TestSampleBatch:
             Window.interval(0.0, 6.0), [np.array([[3.0], [1.0]]), np.array([[0.5]])], seed=0, method="t"
         )
         assert batch.coords[:, 0].tolist() == [1.0, 3.0, 0.5]
-        assert batch.configurations == (Configuration([(1.0,), (3.0,)]), Configuration([(0.5,)]))
+        assert [c.coords[:, 0].tolist() for c in batch.configurations] == [[1.0, 3.0], [0.5]]
         with pytest.raises(ValueError):
             batch.coords[0, 0] = 2.0
+
+    def test_configurations_are_read_only_one_sample_batches(self):
+        samples = [np.array([[3.0], [1.0]]), np.empty((0, 1)), np.array([[0.5]]), np.empty((0, 1))]
+        batch = SampleBatch.from_samples(Window.interval(0.0, 6.0), samples, seed=4, method="t", params={"n": 1})
+        configs = batch.configurations
+        assert len(configs) == 4
+        for i, one in enumerate(configs):
+            a, b = batch.offsets[i], batch.offsets[i + 1]
+            assert isinstance(one, SampleBatch) and len(one) == 1
+            assert one.coords.shape == (b - a, 1)
+            assert np.array_equal(one.coords, batch.coords[a:b])
+            assert one.offsets.tolist() == [0, b - a]
+            assert (one.window, one.seed, one.method, one.params) == (batch.window, 4, "t", {"n": 1})
+            for array in (one.coords, one.offsets):
+                with pytest.raises(ValueError):
+                    array[...] = 0
+        assert [len(c.coords) for c in configs] == [2, 0, 1, 0]
 
     def test_rejects_bad_samples(self):
         window = Window.interval(0.0, 6.0)
