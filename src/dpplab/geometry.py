@@ -95,17 +95,19 @@ def _canonical(coords: np.ndarray, groups: np.ndarray | None = None) -> np.ndarr
     each group and the groups keep their order.  Non-finite coordinates
     and coincident points of one group are rejected.
     """
-    if not np.all(np.isfinite(coords)):
+    # array methods in place of np.all/np.any: this runs once per small
+    # configuration in some experiments, where the wrappers' overhead shows
+    if not np.isfinite(coords).all():
         raise DomainError("points have non-finite coordinates")
     # lexicographic by first coordinate, then second
     keys = [coords[:, k] for k in reversed(range(coords.shape[1]))]
     if groups is not None:
         keys.append(groups)
     coords = coords[np.lexsort(keys)]
-    same = np.all(coords[1:] == coords[:-1], axis=1)
+    same = (coords[1:] == coords[:-1]).all(axis=1)
     if groups is not None:
         same &= groups[1:] == groups[:-1]
-    if np.any(same):
+    if same.any():
         raise DuplicatePoint(f"coincident points at {tuple(coords[int(np.argmax(same))])}")
     coords.flags.writeable = False
     return coords
@@ -204,11 +206,11 @@ def simple_points(coords, dimension: int) -> np.ndarray:
     coords = _canonical(coords)
     if dimension == 1:
         # in canonical order the closest pair on the line is adjacent
-        gaps = np.diff(coords[:, 0])
+        gaps = coords[1:, 0] - coords[:-1, 0]
     else:
         diff = coords[:, None, :] - coords[None, :, :]
         gaps = np.sqrt(np.sum(diff * diff, axis=2))[np.triu_indices(len(coords), 1)]
-    if np.any(gaps < COINCIDENCE):
+    if (gaps < COINCIDENCE).any():
         raise DuplicatePoint(f"points closer than {COINCIDENCE}")
     return coords
 
