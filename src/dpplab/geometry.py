@@ -149,8 +149,7 @@ class SampleBatch:
         """Batch of one (n_i, d) point array per sample; `fields` are the other fields."""
         offsets = np.zeros(len(samples) + 1, dtype=np.int64)
         np.cumsum([len(s) for s in samples], out=offsets[1:])
-        d = window.dimension
-        coords = np.concatenate(samples).reshape(-1, d) if len(samples) else np.empty((0, d))
+        coords = np.concatenate(samples) if len(samples) else np.empty((0, window.dimension))
         return cls(window=window, coords=coords, offsets=offsets, **fields)
 
     def __len__(self) -> int:

@@ -66,6 +66,8 @@ class TestConfiguration:
     def test_mixed_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             SampleBatch(Window.interval(0.0, 4.0), np.array([[1.0, 2.0]]), [0, 1], seed=0, method="test")
+        with pytest.raises(DimensionMismatch):
+            SampleBatch.from_samples(Window.interval(0.0, 4.0), [np.array([[1.0, 2.0]])], seed=0, method="test")
 
     def test_empty_needs_dimension(self):
         # the window supplies the dimension of an empty sample
