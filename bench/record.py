@@ -18,8 +18,10 @@ change/parent ratio of the medians and the number of pairs the change
 wins; the attempted and failed op counts, the cycle count and the
 `FAILED ...` lines of each run; the (op, seed) failures of each pair
 that only one side had, with whether the other side's run reached that
-seed; and the `machine` line that perfbench prints (core count, BLAS,
-Python and numpy versions).
+seed; the `machine` line that perfbench prints (core count, BLAS,
+Python and numpy versions); and the lines of `src/dpplab` added, deleted
+and net from the parent to this checkout (`git diff --numstat`, which
+leaves out untracked files).
 """
 from __future__ import annotations
 
@@ -84,6 +86,17 @@ def one_side_failures(runs: dict, seeds: list[int]) -> list[dict]:
                 out.append({"pair": i, "side": side, "op": op, "seed": op_seed,
                             "reached": cycle < (runs[other][i]["cycles"] or 0)})
     return out
+
+
+def net_lines(numstat: str) -> dict:
+    """Added, deleted and net lines of a `git diff --numstat` listing; a binary file counts 0."""
+    added = deleted = 0
+    for line in numstat.splitlines():
+        plus, minus, _ = line.split("\t", 2)
+        if plus != "-":
+            added += int(plus)
+            deleted += int(minus)
+    return {"added": added, "deleted": deleted, "net": added - deleted}
 
 
 def summarize(values: list[float]) -> dict:
@@ -156,6 +169,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T",
         "seconds": spec["run_seconds"],
         "pairs": PAIRS,
+        "src_dpplab_lines": net_lines(git("diff", "--numstat", parent_rev, "--", "src/dpplab")),
     }
     with tempfile.TemporaryDirectory(prefix="dpplab-parent-") as tmp:
         tree = Path(tmp) / "parent"

@@ -46,7 +46,7 @@ def test_k_values_of_operator_nodes(benchmark, context):
 
 
 def test_discretize(benchmark):
-    benchmark(discretize, SPEC, "K", WINDOW, N)
+    benchmark(discretize, SPEC, WINDOW, N)
 
 
 @pytest.mark.parametrize("n", [16, 40])

@@ -33,7 +33,7 @@ N = 1120
 
 @pytest.fixture(scope="module")
 def disc():
-    op = discretize(SPEC, "K", WINDOW, N, panels=20)
+    op = discretize(SPEC, WINDOW, N, panels=20)
     interaction_values(op, np.array([[10.0]]))  # gate and factor
     return op
 
@@ -56,7 +56,7 @@ def test_interaction_values_600_point_stack(benchmark, disc):
 
 def test_finite_range_stack(benchmark):
     # 400 blocks of 6 points, as in a cpi-monotonicity stack
-    op = discretize(FiniteRangeFourier(1.0, 0.8), "K", Window.interval(0.0, 6.0), 100)
+    op = discretize(FiniteRangeFourier(1.0, 0.8), Window.interval(0.0, 6.0), 100)
     X = 6.0 * np.random.default_rng(3).random((2400, 1))
     offsets = np.arange(0, 2401, 6)
     interaction_values(op, X[:6])  # gate and factor
@@ -65,14 +65,14 @@ def test_finite_range_stack(benchmark):
 
 def test_gate(benchmark, disc):
     def fresh_gate():
-        return _gate(DiscretizedOperator(disc.quad, disc.matrix, disc.spec, "K"))
+        return _gate(DiscretizedOperator(disc.quad, disc.matrix, disc.spec))
 
     benchmark(fresh_gate)
 
 
 def test_certificate(benchmark, disc):
     def fresh_certificate():
-        return _certified_shift(DiscretizedOperator(disc.quad, disc.matrix, disc.spec, "K"))
+        return _certified_shift(DiscretizedOperator(disc.quad, disc.matrix, disc.spec))
 
     benchmark(fresh_certificate)
 

@@ -35,7 +35,7 @@ SHAPES = {
 def discs():
     out = {}
     for name, (spec, window, n, _) in SHAPES.items():
-        out[name] = discretize(spec, "K", window, n)
+        out[name] = discretize(spec, window, n)
         out[name].spectral()
     return out
 

@@ -7,7 +7,6 @@ percolation statistics, and randomized matrix-inequality suites.
 """
 
 from .errors import (
-    BadBound,
     ConfigError,
     DimensionMismatch,
     DomainError,

@@ -28,6 +28,7 @@ from .geometry import COINCIDENCE, SampleBatch, Window, restrict, simple_points
 from .kernels import Kernel
 from .operators import (
     DiscretizedOperator,
+    _clip_dust,
     discretize,
     fredholm_det_I_minus,
     interaction_values,
@@ -67,7 +68,7 @@ def correlation(spec: Kernel, coords) -> float:
 
 def vacuum_probability(spec: Kernel, window: Window, n: int, *, disc=None) -> float:
     """mu(no points in the window) = det(I - K_Lambda)."""
-    disc = disc or discretize(spec, "K", window, n)
+    disc = disc or discretize(spec, window, n)
     return fredholm_det_I_minus(disc)
 
 
@@ -80,7 +81,7 @@ def janossy_density(
     disc: DiscretizedOperator | None = None,
 ) -> float:
     """Janossy density det(I - K_Lambda) * det J_[Lambda](xi, xi) of the (m, d) points xi."""
-    disc = disc or discretize(spec, "K", window, n)
+    disc = disc or discretize(spec, window, n)
     coords = simple_points(coords, window.dimension)
     if not np.all(window.contains(coords)):
         raise DomainError("configuration has points outside the window")
@@ -232,7 +233,7 @@ def compound_intensity(
     of each sample of two batches with the same number of samples, all
     from one `interaction_values` stack.
     """
-    disc = disc or discretize(spec, "K", window, n)
+    disc = disc or discretize(spec, window, n)
     pts, offsets = _joined(added, given)
     if len(pts) and not np.all(window.contains(pts)):
         raise DomainError("added + given has points outside the window")
@@ -285,7 +286,6 @@ def janossy_normalization(
     n: int,
     *,
     term_tolerance: float = 1e-8,
-    disc: DiscretizedOperator | None = None,
     integration_nodes: int | None = None,
 ) -> NormalizationResult:
     """Truncated sum over m of the m-fold Janossy integrals on the window.
@@ -304,7 +304,7 @@ def janossy_normalization(
     m-fold integrals run over their own rule instead, which additionally
     exercises convergence between two discretizations.
     """
-    disc = disc or discretize(spec, "K", window, n)
+    disc = discretize(spec, window, n)
     vacuum = fredholm_det_I_minus(disc)
     if integration_nodes is not None:
         rule = tensor_gauss_legendre(window, integration_nodes)
@@ -312,8 +312,7 @@ def janossy_normalization(
         rule = disc.quad
     jmat = interaction_values(disc, rule.nodes)
     sw = rule.sqrt_weights
-    weighted = DiscretizedOperator(rule, jmat * np.outer(sw, sw), spec, "J_local")
-    nu = weighted.clipped_eigenvalues()
+    nu = _clip_dust(np.linalg.eigvalsh(jmat * np.outer(sw, sw))[::-1], "weighted J_[Lambda]")
     max_terms = min(nu.size, MAX_TERMS)
     # e_m recurrence: after absorbing each eigenvalue, e[m] += nu * e[m-1]
     e = np.zeros(max_terms + 1)

@@ -37,10 +37,6 @@ class NumericalBreakdown(DppLabError):
     """A determinant or ratio left the numerically trustworthy regime."""
 
 
-class BadBound(DppLabError):
-    """A claimed envelope or upper bound was observed to be violated."""
-
-
 class ConfigError(DppLabError):
     """Malformed or inconsistent experiment configuration."""
 

@@ -8,7 +8,11 @@ byte-identical across runs.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -91,6 +95,8 @@ class Params:
                 value = float(raw)
             except ValueError:
                 raise ConfigError(f"{self.owner}: '{key}' must be a number, got {raw!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{self.owner}: '{key}' must be finite, got {raw!r}")
         if positive and not value > 0:
             raise ConfigError(f"{self.owner}: '{key}' must be positive, got {value}")
         if minimum is not None and value < minimum:
@@ -111,9 +117,12 @@ class Params:
         if raw is None:
             return list(default)
         try:
-            return [float(v) for v in raw.replace(";", ",").split(",") if v.strip()]
+            values = [float(v) for v in raw.replace(";", ",").split(",") if v.strip()]
         except ValueError:
-            raise ConfigError(f"{self.owner}: '{key}' must be a comma-separated number list")
+            values = []
+        if not values or not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{self.owner}: '{key}' must be a non-empty comma-separated list of finite numbers")
+        return values
 
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.raw) - self._seen)
@@ -192,8 +201,8 @@ class ExperimentResult:
     xlabel: str = ""
     ylabel: str = ""
     # set by run_experiment
-    name: str = ""
-    seed: int = 0
+    name: str = field(default="", init=False)
+    seed: int = field(default=0, init=False)
 
     @property
     def passed(self) -> bool:
@@ -266,6 +275,59 @@ def _register(name: str, summary: str, anchor: str):
     return wrap
 
 
+# (getter, setter) of the thread count in the OpenBLAS of the numpy and scipy
+# wheels; numpy's build has 64-bit indices and suffixes its symbols with 64_
+_OPENBLAS_THREAD_SYMBOLS = [
+    (f"scipy_openblas_get_num_threads{suffix}", f"scipy_openblas_set_num_threads{suffix}")
+    for suffix in ("64_", "")
+]
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS copies bundled with numpy and scipy.
+
+    Each package loads its own copy from `<package>.libs`; opening the
+    file again returns the loaded library.  Looked up on first use, so
+    that `import dpplab` does not pay for it.
+    """
+    controls = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS copy at one thread, then restore the previous counts.
+
+    A threaded BLAS can return another eigenbasis of a repeated
+    eigenspace, or sum in another order, so outputs would depend on the
+    thread count.
+    """
+    controls = _blas_thread_controls()
+    if not controls:
+        print("dpp-lab: no OpenBLAS thread setter found; outputs may depend on the BLAS thread count",
+              file=sys.stderr)
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
 def run_experiment(
     name: str,
     kernel_cfg: dict | None = None,
@@ -273,20 +335,26 @@ def run_experiment(
     seed: int = 0,
     out_dir=None,
 ) -> ExperimentResult:
+    """Run one registered experiment at `seed`, with BLAS held to one thread."""
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown experiment {name!r}; available: {known}")
-    result = REGISTRY[name].runner(kernel_cfg, Params(name, params_cfg), int(seed), out_dir)
+    with _one_blas_thread():
+        result = REGISTRY[name].runner(kernel_cfg, Params(name, params_cfg), int(seed), out_dir)
     result.name, result.seed = name, int(seed)
     return result
 
 
-def _downsample(values: np.ndarray, limit: int = 400) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted values thinned to at most `limit` points, with quantile x."""
+# most points of a downsampled quantile plot
+PLOT_POINTS = 400
+
+
+def _downsample(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted values thinned to at most PLOT_POINTS points, with quantile x."""
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         return np.zeros(0), np.zeros(0)
-    idx = np.unique(np.linspace(0, v.size - 1, min(limit, v.size)).astype(int))
+    idx = np.unique(np.linspace(0, v.size - 1, min(PLOT_POINTS, v.size)).astype(int))
     return idx / max(v.size - 1, 1), v[idx]
 
 
@@ -356,7 +424,7 @@ def _cpi_family_run(spec: Kernel, window: Window, n: int, instances: int, seed: 
     c(a | xi) and J(a, a) are read from principal sub-blocks of that one
     matrix, so both ratios share its roundoff.
     """
-    disc = discretize(spec, "K", window, n)
+    disc = discretize(spec, window, n)
 
     def draw(i: int):
         rng = stream(_subseed(seed, salt), i)
@@ -479,16 +547,19 @@ def _run_janossy(kernel_cfg, p: Params, seed, out_dir):
     q2 = p.get_int("integration_nodes_square", 0, minimum=0)
     p.reject_unknown()
 
-    cases = [
-        ("interval", RenewalExponential(rho, a), Window.interval(0.0, 1.0), n1, q1),
-        (
-            "square",
-            FiniteRangeFourier(rng, amplitude, dimension=2),
-            Window.box((0.0, 0.0), (1.0, 1.0)),
-            n2,
-            q2,
-        ),
-    ]
+    try:
+        cases = [
+            ("interval", RenewalExponential(rho, a), Window.interval(0.0, 1.0), n1, q1),
+            (
+                "square",
+                FiniteRangeFourier(rng, amplitude, dimension=2),
+                Window.box((0.0, 0.0), (1.0, 1.0)),
+                n2,
+                q2,
+            ),
+        ]
+    except ParameterOutOfRange as exc:
+        raise ConfigError(f"{p.owner}: {exc}") from exc
     checks, rows, series = [], [], []
     for label, spec, window, n, q in cases:
         res = janossy_normalization(
@@ -538,7 +609,11 @@ def _run_janossy(kernel_cfg, p: Params, seed, out_dir):
 # 4. sampler validation
 
 
-def _two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray, min_expected: float = 5.0):
+# smallest expected count of a merged bin in the two-sample chi-square
+CHI2_MIN_EXPECTED = 5.0
+
+
+def _two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray):
     """Two-sample chi-square on count histograms, merging sparse bins."""
     hi = int(max(counts_a.max(initial=0), counts_b.max(initial=0)))
     oa = np.bincount(counts_a, minlength=hi + 1).astype(float)
@@ -551,7 +626,7 @@ def _two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray, min_expected: f
         acc_a += oa[k]
         acc_b += ob[k]
         # flush once the smaller group's expected count clears the floor
-        if small * (acc_a + acc_b) / (na + nb) >= min_expected:
+        if small * (acc_a + acc_b) / (na + nb) >= CHI2_MIN_EXPECTED:
             bins_a.append(acc_a)
             bins_b.append(acc_b)
             acc_a = acc_b = 0.0
@@ -588,7 +663,7 @@ def _run_sampler_validation(kernel_cfg, p: Params, seed, out_dir):
     p.reject_unknown()
 
     window = Window.interval(0.0, length)
-    disc = discretize(spec, "K", window, n)
+    disc = discretize(spec, window, n)
     lams = disc.clipped_eigenvalues()
     expected_n = float(lams.sum())
     vacuum = fredholm_det_I_minus(disc)
@@ -665,9 +740,9 @@ def _run_domination(kernel_cfg, p: Params, seed, out_dir):
     for label, spec, window, n, salt in _families(p, window_renewal=10.0, nodes_renewal=140):
         zdiag = spec.interaction_diagonal
         dpp = sample_dpp_spectral(spec, window, n, count, _subseed(seed, salt))
-        poi = sample_poisson(zdiag, zdiag, window, count, _subseed(seed, salt + 10))
-        report = domination_test(dpp, poi, z_threshold=z_limit)
-        for comp in report.comparisons:
+        poi = sample_poisson(zdiag, window, count, _subseed(seed, salt + 10))
+        comparisons = domination_test(dpp, poi, z_threshold=z_limit)
+        for comp in comparisons:
             checks.append(
                 Check(
                     name=f"{label}: {comp.name}",
@@ -684,15 +759,15 @@ def _run_domination(kernel_cfg, p: Params, seed, out_dir):
             )
         series.append(
             Series(
-                x=list(range(len(report.comparisons))),
-                y=[c.mean_lower for c in report.comparisons],
+                x=list(range(len(comparisons))),
+                y=[c.mean_lower for c in comparisons],
                 label=f"{label} DPP",
             )
         )
         series.append(
             Series(
-                x=list(range(len(report.comparisons))),
-                y=[c.mean_upper for c in report.comparisons],
+                x=list(range(len(comparisons))),
+                y=[c.mean_upper for c in comparisons],
                 label=f"{label} Poisson",
             )
         )
@@ -761,7 +836,7 @@ def _run_vacuum_correlation(kernel_cfg, p: Params, seed, out_dir):
     ]
     if mc_samples:
         domain = Window.interval(0.0, domain_len)
-        disc = discretize(spec, "K", domain, mc_nodes)
+        disc = discretize(spec, domain, mc_nodes)
         batch = sample_dpp_spectral(spec, domain, mc_nodes, mc_samples, _subseed(seed, 2), disc=disc)
         nodes = disc.quad.nodes[:, 0]
         for j, (wa, wb) in enumerate(geometry[: min(3, len(geometry))]):
@@ -839,7 +914,7 @@ def _run_cpi_limit(kernel_cfg, p: Params, seed, out_dir):
     discs = []
     for w in windows:
         n = max(24, int(math.ceil(nodes_per_unit * w.sides[0])))
-        discs.append((w, n, discretize(spec, "K", w, n, panels=max(2, int(w.sides[0])))))
+        discs.append((w, n, discretize(spec, w, n, panels=max(2, int(w.sides[0])))))
     domain = Window.interval(0.0, domain_len)
     lo_a, hi_a = center - domain_len / 10.0, center + domain_len / 10.0
 
@@ -1089,7 +1164,7 @@ def _run_percolation_curve(kernel_cfg, p: Params, seed, out_dir):
         window = Window.interval(0.0, length)
         n = max(24, int(math.ceil(nodes_per_unit * length)))
         dpp = sample_dpp_spectral(spec, window, n, reps, _subseed(seed, 20 + k))
-        poi = sample_poisson(zdiag, zdiag, window, reps, _subseed(seed, 40 + k))
+        poi = sample_poisson(zdiag, window, reps, _subseed(seed, 40 + k))
         span_d = percolation.spanning(dpp, window, radius).astype(float)
         span_p = percolation.spanning(poi, window, radius).astype(float)
         pd, pp = float(span_d.mean()), float(span_p.mean())

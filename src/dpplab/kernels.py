@@ -208,7 +208,7 @@ class HalfSolveKernel:
     complement of the PSD J Gram matrix of x and the weighted nodes plus
     diag(0, I), so K is PSD and K(x, x) <= J(x, x)); sign +1 on K gives the
     resolvent extension J_[Lambda] = K + K (I - K)^{-1} K.  `columns(X)`
-    solves every level's t_x once; `values` and `diagonal` take them.
+    solves every level's t_x once; `values` takes them.
     """
 
     spec: Kernel
@@ -262,9 +262,9 @@ class HalfSolveKernel:
                 out -= tx.T @ ty
         return out
 
-    def diagonal(self, X: np.ndarray, TX=None) -> np.ndarray:
-        """The kernel at (x, x) for each row of X; `TX` may carry `columns(X)`."""
-        TX = self.columns(X) if TX is None else TX
+    def diagonal(self, X: np.ndarray) -> np.ndarray:
+        """The kernel at (x, x) for each row of X."""
+        TX = self.columns(X)
         if isinstance(self.spec, DerivedKernel):
             out = self.spec.j_diagonal(X)
         else:

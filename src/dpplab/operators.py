@@ -69,15 +69,11 @@ class SpectralData:
 
 
 class DiscretizedOperator:
-    """A kernel operator pinned to one quadrature rule.
+    """A correlation kernel K pinned to one quadrature rule."""
 
-    `kind` is "K" (correlation) or "J_local" (a local interaction matrix,
-    such as the weighted J_[Lambda] of `densities.janossy_normalization`).
-    """
+    __slots__ = ("quad", "matrix", "spec", "_cache")
 
-    __slots__ = ("quad", "matrix", "spec", "kind", "_cache")
-
-    def __init__(self, quad: Quadrature, matrix: np.ndarray, spec: Kernel | None, kind: str):
+    def __init__(self, quad: Quadrature, matrix: np.ndarray, spec: Kernel | None):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (quad.size, quad.size):
             raise DomainError("matrix shape does not match quadrature size")
@@ -86,7 +82,6 @@ class DiscretizedOperator:
         self.quad = quad
         self.matrix = matrix
         self.spec = spec
-        self.kind = kind
         self._cache: dict = {}
 
     @property
@@ -118,31 +113,29 @@ class DiscretizedOperator:
 
     def clipped_eigenvalues(self) -> np.ndarray:
         """Spectrum with roundoff dust clipped to zero (descending)."""
-        vals = self.eigenvalues().copy()
-        if vals.size == 0:
-            return vals
-        top = max(vals.max(), 0.0)
-        floor = DUST_RELATIVE * top
-        scale = max(top, 1.0)
-        if vals.min() < -NEGATIVE_TOLERANCE * scale:
-            raise NumericalBreakdown(
-                f"{self.kind} discretization has eigenvalue {vals.min():.3e} < 0"
-            )
-        vals[np.abs(vals) < floor] = 0.0
-        return np.clip(vals, 0.0, None)
+        return _clip_dust(self.eigenvalues(), "K")
 
 
-def discretize(
-    spec: Kernel,
-    which: str,
-    window: Window,
-    n: int,
-    panels: int | None = None,
-) -> DiscretizedOperator:
-    """Symmetrized Nystrom matrix of K on `window` with n nodes per axis.
+def _clip_dust(vals: np.ndarray, what: str) -> np.ndarray:
+    """Descending eigenvalues of a PSD matrix, copied, with roundoff dust set to zero.
 
-    `which` names the kernel and must be "K", the one kind discretized.
+    An eigenvalue below -NEGATIVE_TOLERANCE max(top, 1) is not dust: the
+    `what` matrix is then not PSD, a NumericalBreakdown.
     """
+    vals = vals.copy()
+    if vals.size == 0:
+        return vals
+    top = max(vals.max(), 0.0)
+    floor = DUST_RELATIVE * top
+    scale = max(top, 1.0)
+    if vals.min() < -NEGATIVE_TOLERANCE * scale:
+        raise NumericalBreakdown(f"{what} discretization has eigenvalue {vals.min():.3e} < 0")
+    vals[np.abs(vals) < floor] = 0.0
+    return np.clip(vals, 0.0, None)
+
+
+def discretize(spec: Kernel, window: Window, n: int, panels: int | None = None) -> DiscretizedOperator:
+    """Symmetrized Nystrom matrix of K on `window` with n nodes per axis."""
     if window.dimension != spec.dimension:
         raise DomainError(
             f"window dimension {window.dimension} vs kernel dimension {spec.dimension}"
@@ -150,14 +143,15 @@ def discretize(
     if n < 2:
         raise DomainError("need n >= 2 nodes per axis")
     quad = tensor_gauss_legendre(window, n, panels=panels)
-    return discretize_on(spec, which, quad)
+    return discretize_on(spec, "K", quad)
 
 
 def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOperator:
-    """Discretize on an explicit rule (e.g. a union of disjoint windows).
+    """Discretize K on an explicit rule (e.g. a union of disjoint windows).
 
-    A derived-K family's K comes from one context covering the rule's
-    window (or its nodes' bounding box), kept with the operator.
+    `which` must be "K".  A derived-K family's K comes from one context
+    covering the rule's window (or its nodes' bounding box), kept with the
+    operator.
     """
     if which != "K":
         raise DomainError(f"which must be 'K', got {which!r}")
@@ -165,7 +159,7 @@ def discretize_on(spec: Kernel, which: str, quad: Quadrature) -> DiscretizedOper
     T = ctx.columns(quad.nodes)
     values = ctx.values(quad.nodes, quad.nodes, T, T)
     sw = quad.sqrt_weights
-    op = DiscretizedOperator(quad, values * np.outer(sw, sw), spec, "K")
+    op = DiscretizedOperator(quad, values * np.outer(sw, sw), spec)
     op._cache.update(context=ctx, node_columns=T)
     return op
 
@@ -183,8 +177,6 @@ def operator_trace(op: DiscretizedOperator) -> float:
 
 
 def _gate(op: DiscretizedOperator) -> np.ndarray:
-    if op.kind != "K":
-        raise DomainError(f"spectral transform needs a correlation operator, got {op.kind}")
     vals = op.clipped_eigenvalues()
     if vals.size and vals[0] >= SPECTRUM_GATE:
         raise SpectrumAtOne(
@@ -236,8 +228,6 @@ def _certified_shift(op: DiscretizedOperator) -> np.ndarray:
     negative side first as in `clipped_eigenvalues`.  A failed factorization
     hands the verdict to `_gate`, which raises with the offending eigenvalue.
     """
-    if op.kind != "K":
-        raise DomainError(f"spectral transform needs a correlation operator, got {op.kind}")
     # M is exactly symmetric, so its transpose fills the Fortran buffer in memory order
     MT = op.matrix.T
     buf = np.empty_like(MT)

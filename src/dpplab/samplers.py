@@ -2,19 +2,20 @@
 
 Reproducibility: every sample index gets its own counter-based stream
 (Philox keyed by (seed, index)), so batches are bit-identical for a
-given (seed, parameters) regardless of chunking.  The spectral sampler
-draws from projection kernels by the O(N k^2) Gram-Schmidt chain rule,
-run on (t, N, k) stacks of samples with equal point counts k.
+given (seed, parameters), and the first k samples of a batch are the
+k-sample batch.  The spectral sampler draws from projection kernels by
+the O(N k^2) Gram-Schmidt chain rule, run on (t, N, k) stacks of samples
+with equal point counts k.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import BadBound, DomainError, NumericalBreakdown
+from .errors import DomainError, NumericalBreakdown
 from .geometry import SampleBatch, Window, count_in
 from .kernels import Kernel
 from .operators import (
@@ -55,45 +56,20 @@ def _uniform_in(window: Window, rng: np.random.Generator, count: int) -> np.ndar
     return lo + (hi - lo) * rng.random((count, window.dimension))
 
 
-def sample_poisson(
-    intensity: float | Callable[[np.ndarray], np.ndarray],
-    bound: float,
-    window: Window,
-    count: int,
-    seed: int,
-    index_offset: int = 0,
-) -> SampleBatch:
-    """Inhomogeneous Poisson samples by thinning a homogeneous envelope.
+def sample_poisson(rate: float, window: Window, count: int, seed: int) -> SampleBatch:
+    """Homogeneous Poisson samples of intensity `rate` on the window.
 
-    `bound` must dominate the intensity everywhere; a drawn point where
-    the intensity exceeds the bound raises BadBound.  `index_offset`
-    shifts the per-sample stream indices so a batch can be produced in
-    chunks without changing its contents.
+    Sample i reads `stream(seed, i)`: its point count, then its points.
     """
-    if bound < 0 or not np.isfinite(bound):
-        raise DomainError(f"envelope bound must be finite and nonnegative, got {bound}")
-    constant = not callable(intensity)
-    if constant and intensity > bound * (1 + 1e-12):
-        raise BadBound(f"intensity {intensity} exceeds the envelope {bound}")
-    rate = bound * window.volume
+    if rate < 0 or not np.isfinite(rate):
+        raise DomainError(f"Poisson rate must be finite and nonnegative, got {rate}")
+    mean = rate * window.volume
     samples = []
-    for rng in _streams(seed, index_offset, count):
-        n = int(rng.poisson(rate)) if rate > 0 else 0
-        pts = _uniform_in(window, rng, n)
-        if n and not constant:
-            vals = np.asarray(intensity(pts), dtype=float)
-            if np.any(vals > bound * (1 + 1e-12)):
-                raise BadBound(
-                    f"intensity {vals.max():.6g} above the envelope {bound} at a drawn point"
-                )
-            keep = rng.random(n) * bound < vals
-            pts = pts[keep]
-        elif n and constant and intensity < bound:
-            keep = rng.random(n) * bound < intensity
-            pts = pts[keep]
-        samples.append(pts)
+    for rng in _streams(seed, 0, count):
+        n = int(rng.poisson(mean)) if mean > 0 else 0
+        samples.append(_uniform_in(window, rng, n))
     return SampleBatch.from_samples(
-        window, samples, seed=seed, method="poisson", params={"bound": bound, "count": count}
+        window, samples, seed=seed, method="poisson", params={"rate": rate, "count": count}
     )
 
 
@@ -147,19 +123,18 @@ def sample_dpp_spectral(
     seed: int,
     *,
     disc: DiscretizedOperator | None = None,
-    index_offset: int = 0,
 ) -> SampleBatch:
     """Spectral sampler on the Nystrom nodes.
 
     Eigenfunctions enter independently with probability lambda_i, then
     that many nodes are drawn from the projection kernel by the O(N k^2)
-    Gram-Schmidt chain rule.  Sample i reads `stream(seed, index_offset
-    + i)`: the coin flips, then one uniform per pick.  Blocks of `_BLOCK`
-    samples run as one (t, N, k) stack per count k, and a sample's picks
-    do not depend on its stack.  The law converges to the window
-    restriction of the process as the rule refines.
+    Gram-Schmidt chain rule.  Sample i reads `stream(seed, i)`: the coin
+    flips, then one uniform per pick.  Blocks of `_BLOCK` samples run as
+    one (t, N, k) stack per count k, and a sample's picks do not depend on
+    its stack.  The law converges to the window restriction of the process
+    as the rule refines.
     """
-    disc = disc or discretize(spec, "K", window, n)
+    disc = disc or discretize(spec, window, n)
     spect = disc.spectral()
     lams = np.clip(spect.eigenvalues, 0.0, None)
     keep = lams > 1e-12
@@ -169,9 +144,9 @@ def sample_dpp_spectral(
         raise NumericalBreakdown(f"eigenvalue {lams[0]} >= 1 in the sampler")
     nodes = disc.quad.nodes
     samples = []
-    for start in range(index_offset, index_offset + count, _BLOCK):
+    for start in range(0, count, _BLOCK):
         select, steps = [], []
-        for rng in _streams(seed, start, min(_BLOCK, index_offset + count - start)):
+        for rng in _streams(seed, start, min(_BLOCK, count - start)):
             select.append(rng.random(lams.size) < lams)
             steps.append(rng.random(np.count_nonzero(select[-1])))
         select = np.array(select)
@@ -194,6 +169,9 @@ def sample_dpp_spectral(
     )
 
 
+CHAINS = 8  # birth-death chains per batch
+
+
 def sample_dpp_birth_death(
     spec: Kernel,
     window: Window,
@@ -201,7 +179,6 @@ def sample_dpp_birth_death(
     count: int,
     seed: int,
     *,
-    chains: int = 8,
     disc: DiscretizedOperator | None = None,
 ) -> SampleBatch:
     """Spatial birth-death chain with the local compound intensity.
@@ -212,17 +189,18 @@ def sample_dpp_birth_death(
     rate 1.  The acceptance ratio c(x, xi) / J(x, x) must stay in [0, 1]
     (hard assertion).  Time is measured in death-rate units; the burn-in
     and the thinning between kept states convert the usual event-count
-    heuristics (20x and 5x the expected population).  The `chains` chains
-    run in turn, chain c on its own stream `stream(seed, c)`.
+    heuristics (20x and 5x the expected population).  CHAINS chains (fewer
+    when `count` is smaller) run in turn, chain c on its own stream
+    `stream(seed, c)`.
     """
-    disc = disc or discretize(spec, "K", window, n)
+    disc = disc or discretize(spec, window, n)
     jmax = interaction_diagonal_bound(disc)
     expected = max(operator_trace(disc), 1e-9)
     birth_rate = jmax * window.volume
     event_rate = birth_rate + max(expected, 1.0)
     burn_in = 20.0 * max(expected, 1.0) / event_rate
     thinning = 5.0 * max(expected, 1.0) / event_rate
-    chains = max(1, min(chains, count))
+    chains = max(1, min(CHAINS, count))
     samples = []
     for c in range(chains):
         wanted = count // chains + (1 if c < count % chains else 0)
@@ -356,35 +334,24 @@ class FunctionalComparison:
     ok: bool
 
 
-@dataclass(frozen=True)
-class DominationReport:
-    comparisons: tuple[FunctionalComparison, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.comparisons)
-
-
 def domination_test(
-    dominated: SampleBatch,
-    dominating: SampleBatch,
-    functionals: Sequence[tuple[str, Callable[[SampleBatch], np.ndarray]]] | None = None,
-    z_threshold: float = 3.0,
-) -> DominationReport:
-    """Compare means of increasing statistics between two batches.
+    dominated: SampleBatch, dominating: SampleBatch, z_threshold: float = 3.0
+) -> tuple[FunctionalComparison, ...]:
+    """Compare means of three increasing statistics between two batches.
 
-    A statistic maps a batch to one value per sample.  Stochastic
-    domination of `dominated` by `dominating` implies every increasing
-    statistic has a smaller (or equal) mean; a violation beyond
-    `z_threshold` standard errors flags the pair.
+    The statistics map a batch to one value per sample: the point count,
+    the largest quadrant count and the number of points with a neighbour
+    within an eighth of the shortest window side.  Stochastic domination
+    of `dominated` by `dominating` implies every increasing statistic has
+    a smaller (or equal) mean; a violation beyond `z_threshold` standard
+    errors flags the pair.
     """
-    if functionals is None:
-        r = min(dominated.window.sides) / 8.0
-        functionals = [
-            ("total_count", total_count),
-            ("max_quadrant_count", max_quadrant_count),
-            (f"neighbor_count(r={r:.4g})", neighbor_count(r)),
-        ]
+    r = min(dominated.window.sides) / 8.0
+    functionals = [
+        ("total_count", total_count),
+        ("max_quadrant_count", max_quadrant_count),
+        (f"neighbor_count(r={r:.4g})", neighbor_count(r)),
+    ]
     rows = []
     for name, fn in functionals:
         a = fn(dominated)
@@ -402,7 +369,7 @@ def domination_test(
                 ok=bool(diff <= z_threshold * se),
             )
         )
-    return DominationReport(tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

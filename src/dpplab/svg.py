@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+WIDTH, HEIGHT = 640, 420  # pixels
 
 
 @dataclass
@@ -17,7 +18,6 @@ class Series:
     y: list
     label: str = ""
     yerr: list | None = None
-    color: str | None = None
     markers: bool = True
 
 
@@ -53,12 +53,10 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Write a standalone SVG; returns the path written."""
     ml, mr, mt, mb = 64, 16, 34, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     xs = [float(v) for s in series for v in s.x]
     ys = [float(v) for s in series for v in s.y]
     for s in series:
@@ -85,14 +83,14 @@ def line_plot(
         return mt + ph - (float(v) - y0) / (y1 - y0) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica,Arial,sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="Helvetica,Arial,sans-serif">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
         )
     for tx in _ticks(x0 + padx, x1 - padx):
         px = X(tx)
@@ -112,7 +110,7 @@ def line_plot(
         )
     if xlabel:
         parts.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle" font-size="12">{xlabel}</text>'
+            f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" font-size="12">{xlabel}</text>'
         )
     if ylabel:
         parts.append(
@@ -120,7 +118,7 @@ def line_plot(
             f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{ylabel}</text>'
         )
     for k, s in enumerate(series):
-        color = s.color or PALETTE[k % len(PALETTE)]
+        color = PALETTE[k % len(PALETTE)]
         pts = " ".join(f"{X(x):.2f},{Y(y):.2f}" for x, y in zip(s.x, s.y))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'

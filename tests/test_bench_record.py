@@ -1,4 +1,4 @@
-"""bench/record.py reads cycle counts and failed ops out of perfbench's standard output."""
+"""bench/record.py reads cycle counts and failed ops out of perfbench's standard output, and net lines out of git."""
 import importlib.util
 from pathlib import Path
 
@@ -51,3 +51,9 @@ def test_one_side_failures_name_the_seed_and_whether_the_other_side_reached_it()
         # pair 1: both sides ran cycle 3, and only the change failed there
         {"pair": 1, "side": "change", "op": "vacuum-correlation", "seed": 101003, "reached": True},
     ]
+
+
+def test_net_lines_sum_a_numstat_listing():
+    numstat = "12\t40\tsrc/dpplab/samplers.py\n3\t0\tsrc/dpplab/experiments.py\n-\t-\tsrc/dpplab/logo.png\n"
+    assert record.net_lines(numstat) == {"added": 15, "deleted": 40, "net": -25}
+    assert record.net_lines("") == {"added": 0, "deleted": 0, "net": 0}

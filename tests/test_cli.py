@@ -1,4 +1,5 @@
 """Command-line interface: configs, outputs, exit codes."""
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import dpplab
 from dpplab.cli import main
-from dpplab.experiments import _two_sample_chi2
+from dpplab.experiments import _blas_thread_controls, _two_sample_chi2, run_experiment
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -129,6 +130,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: cpi-limit: window_lengths") and "domain / 5 = 4" in err
 
+    @pytest.mark.parametrize(
+        "name, assignment",
+        [
+            ("janossy-normalization", "rho = 0.9"),
+            ("janossy-normalization", "amplitude = nan"),
+            ("vacuum-correlation", "domain = inf"),
+            ("cpi-limit", "window_lengths = ,"),
+        ],
+    )
+    def test_malformed_params_value_is_config_error(self, tmp_path, capsys, name, assignment):
+        cfg = write(tmp_path, f"[experiment]\nname = {name}\n\n[params]\n{assignment}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {name}: ")
+
     def test_unknown_experiment(self, tmp_path, capsys):
         cfg = write(tmp_path, "[experiment]\nname = nope\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -176,6 +191,38 @@ class TestListing:
             "percolation-curve",
         ):
             assert expected in names
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at two BLAS threads eigh returns another basis of this run's
+        # repeated eigenspaces, so the draws changed before runs were pinned
+        # to one thread; on a one-core machine both runs are one-thread runs
+        src = str(Path(dpplab.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}"
+            argv = ["run", str(EXAMPLES / "vacuum-correlation.ini"), "--seed", "7", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "dpplab.cli", *argv], env=env, capture_output=True, check=True)
+            outputs.append({name: (out / name).read_bytes() for name in ("results.csv", "summary.txt", "plot.svg")})
+        assert outputs[0] == outputs[1]
+
+    def test_a_run_restores_the_thread_counts(self):
+        controls = _blas_thread_controls()
+        before = [get() for get, _ in controls]
+        try:
+            for _, put in controls:
+                put(2)
+            params = {"trials": 7, "projection_trials": 7, "monotonicity_trials": 7}
+            run_experiment("matrix-ineq-suite", params_cfg=params, seed=1)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, put), count in zip(controls, before):
+                put(count)
 
 
 class TestStartup:

@@ -173,7 +173,7 @@ class TestPointArrays:
     """`correlation` and `janossy_density` take one simple point set as an (m, d) array."""
 
     window = Window.interval(0.0, 4.0)
-    disc = discretize(SPEC, "K", window, 80)
+    disc = discretize(SPEC, window, 80)
 
     def both(self, coords):
         return (
@@ -208,7 +208,7 @@ class TestPointArrays:
 
 class TestJanossy:
     window = Window.interval(0.0, 4.0)
-    disc = discretize(SPEC, "K", window, 80)
+    disc = discretize(SPEC, window, 80)
 
     def test_empty_is_vacuum(self):
         vac = vacuum_probability(SPEC, self.window, 80, disc=self.disc)
@@ -228,7 +228,7 @@ class TestJanossy:
 
     def test_low_order_terms_match_brute_force(self):
         # e_1, e_2 of the weighted spectrum vs direct minor sums
-        disc = discretize(SPEC, "K", Window.interval(0.0, 2.0), 24)
+        disc = discretize(SPEC, Window.interval(0.0, 2.0), 24)
         w = disc.quad.weights
         J = interaction_values(disc, disc.quad.nodes)
         wJ = J * np.sqrt(np.outer(w, w))
@@ -262,7 +262,7 @@ class TestJanossy:
 
 class TestCompoundIntensity:
     window = Window.interval(0.0, 6.0)
-    disc = discretize(SPEC, "K", window, 100)
+    disc = discretize(SPEC, window, 100)
 
     def test_empty_added_is_one(self):
         given = one(1.0, 4.0)
@@ -343,7 +343,7 @@ class TestCompoundIntensity:
         # block had rcond ~ 1e-17 and took the exact-rational route.  The
         # Schur-form K keeps the kink of J, the block's rcond is 2.3e-4
         # (above RCOND_EXACT), and float64 and exact arithmetic must agree
-        fr_disc = discretize(FR, "K", self.window, 100)
+        fr_disc = discretize(FR, self.window, 100)
         added = one(1.682901480186717)
         eta = one(
             0.8021827446720384,
@@ -367,7 +367,7 @@ class TestCompoundIntensity:
     def test_tight_cluster_takes_the_exact_route(self):
         # three points 1e-5 apart: the block's rcond falls below RCOND_EXACT,
         # so the ratios come from exact rational determinants and keep their order
-        fr_disc = discretize(FR, "K", self.window, 100)
+        fr_disc = discretize(FR, self.window, 100)
         added = one(1.682901480186717)
         cluster = [0.8654101828302503 + h for h in (0.0, 1e-5, 2e-5)]
         eta = one(0.8021827446720384, *cluster, 2.621641411449126, 4.717198611239356)
@@ -537,7 +537,7 @@ class TestConditionalKernel:
         # Schur form J^xi(x, y) = J(x, y) - J(x, xi) J(xi, xi)^{-1} J(xi, y)
         outer = Window.interval(0.0, 8.0)
         given = one(1.0, 2.2, 6.1, 7.4)
-        disc = discretize(SPEC, "K", outer, 120)
+        disc = discretize(SPEC, outer, 120)
         alpha = one(3.4, 4.6)
         (direct,) = compound_intensity(SPEC, outer, 120, alpha, given, disc=disc)
         j_xi = interaction_values(disc, given.coords)

@@ -107,7 +107,7 @@ class TestFiniteRangeFourier:
         # K built from J must satisfy K = J (I + J)^{-1} weakly: check the
         # det-based vacuum identity det(I - K) det(I + J_[Lambda]) = 1 on a
         # window, with J_[Lambda] from the eigenvalue map lambda / (1 - lambda)
-        disc = discretize(self.spec, "K", Window.interval(0.0, 4.0), 120)
+        disc = discretize(self.spec, Window.interval(0.0, 4.0), 120)
         vals = disc.clipped_eigenvalues()
         grow = math.exp(np.sum(np.log1p(vals / (1.0 - vals))))
         assert fredholm_det_I_minus(disc) * grow == pytest.approx(1.0, rel=1e-9)

@@ -46,11 +46,11 @@ def _resolvent_route(disc, quad) -> np.ndarray:
 class TestDiscretization:
     def test_trace_formula(self):
         # tr K_Lambda = integral of K(x, x) = rho * |Lambda|
-        disc = discretize(SPEC, "K", Window.interval(0.0, 7.0), 120)
+        disc = discretize(SPEC, Window.interval(0.0, 7.0), 120)
         assert operator_trace(disc) == pytest.approx(0.25 * 7.0, rel=1e-12)
 
     def test_spectrum_in_unit_interval(self):
-        disc = discretize(SPEC, "K", Window.interval(0.0, 10.0), 150)
+        disc = discretize(SPEC, Window.interval(0.0, 10.0), 150)
         vals = disc.clipped_eigenvalues()
         assert vals.min() >= 0.0
         # operator norm bounded by 2 rho / a = 1/2
@@ -59,7 +59,7 @@ class TestDiscretization:
     def test_normalization_identity(self):
         # det(I - K) det(I + J_local) = 1, via two spectral routes: the
         # eigenvalues of J_local are lambda / (1 - lambda)
-        disc = discretize(SPEC, "K", Window.interval(0.0, 6.0), 100)
+        disc = discretize(SPEC, Window.interval(0.0, 6.0), 100)
         vac = fredholm_det_I_minus(disc)
         assert 0.0 < vac < 1.0
         vals = disc.clipped_eigenvalues()
@@ -67,13 +67,13 @@ class TestDiscretization:
 
     def test_vacuum_refinement_cauchy(self):
         w = Window.interval(0.0, 6.0)
-        v1 = fredholm_det_I_minus(discretize(SPEC, "K", w, 100))
-        v2 = fredholm_det_I_minus(discretize(SPEC, "K", w, 200))
+        v1 = fredholm_det_I_minus(discretize(SPEC, w, 100))
+        v2 = fredholm_det_I_minus(discretize(SPEC, w, 200))
         assert abs(v1 - v2) < 1e-4
 
     def test_trace_bound_on_interaction(self):
         # tr J_local <= tr K / (1 - ||K||)
-        disc = discretize(SPEC, "K", Window.interval(0.0, 8.0), 120)
+        disc = discretize(SPEC, Window.interval(0.0, 8.0), 120)
         tr_k = operator_trace(disc)
         norm = float(disc.spectral().eigenvalues[0])  # eigenvalues are descending
         tr_j = np.trace(_resolvent_route(disc, disc.quad))
@@ -81,7 +81,7 @@ class TestDiscretization:
 
     def test_spectrum_gate_raises(self):
         quad = tensor_gauss_legendre(Window.interval(0.0, 1.0), 8)
-        hot = DiscretizedOperator(quad, 1.2 * np.eye(8), None, "K")
+        hot = DiscretizedOperator(quad, 1.2 * np.eye(8), None)
         with pytest.raises(SpectrumAtOne):
             fredholm_det_I_minus(hot)
 
@@ -103,7 +103,7 @@ class TestDiscretization:
         quad = tensor_gauss_legendre(Window.interval(0.0, 1.0), n)
 
         def fresh():
-            return DiscretizedOperator(quad, (Q * vals) @ Q.T, SPEC, "K")
+            return DiscretizedOperator(quad, (Q * vals) @ Q.T, SPEC)
 
         infos = []
         potrf = scipy.linalg.lapack.dpotrf
@@ -129,7 +129,7 @@ class TestDiscretization:
                 _gate(fresh())
 
     def test_interaction_values_needs_no_eigensolve(self, monkeypatch):
-        ops = [discretize(spec, "K", Window.interval(0.0, 6.0), 100) for spec in (SPEC, FiniteRangeFourier(1.0, 0.8))]
+        ops = [discretize(spec, Window.interval(0.0, 6.0), 100) for spec in (SPEC, FiniteRangeFourier(1.0, 0.8))]
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -144,21 +144,21 @@ class TestDiscretization:
 
     def test_dimension_and_kind_guards(self):
         with pytest.raises(DomainError):
-            discretize(SPEC, "L", Window.interval(0.0, 1.0), 8)
+            discretize_on(SPEC, "L", tensor_gauss_legendre(Window.interval(0.0, 1.0), 8))
         with pytest.raises(DomainError):
-            discretize(SPEC, "K", Window.box((0.0, 0.0), (1.0, 1.0)), 8)
+            discretize(SPEC, Window.box((0.0, 0.0), (1.0, 1.0)), 8)
 
 
 class TestInteractionExtension:
     def test_matches_spectral_route_on_own_nodes(self):
         # resolvent extension at the rule's nodes reproduces J_local exactly
-        disc = discretize(SPEC, "K", Window.interval(0.0, 5.0), 80)
+        disc = discretize(SPEC, Window.interval(0.0, 5.0), 80)
         via_resolvent = _resolvent_route(disc, disc.quad)
         via_spectrum = _eigen_map(disc)
         assert np.allclose(via_resolvent, via_spectrum, atol=1e-11)
 
     def test_diagonal_helper_agrees(self):
-        disc = discretize(SPEC, "K", Window.interval(0.0, 5.0), 80)
+        disc = discretize(SPEC, Window.interval(0.0, 5.0), 80)
         pts = np.array([[0.7], [2.2], [4.9]])
         full = interaction_values(disc, pts)
         diag = interaction_diagonal(disc, pts)
@@ -166,7 +166,7 @@ class TestInteractionExtension:
 
     def test_window_interaction_below_global(self):
         # J_[Lambda](x, x) <= J(x, x), strictly near the boundary
-        disc = discretize(SPEC, "K", Window.interval(0.0, 10.0), 160)
+        disc = discretize(SPEC, Window.interval(0.0, 10.0), 160)
         pts = np.array([[0.1], [5.0], [9.9]])
         local = interaction_diagonal(disc, pts)
         glob = SPEC.interaction_diagonal
@@ -177,7 +177,7 @@ class TestInteractionExtension:
     def test_window_growth_is_monotone_exactly(self):
         # within one discretized model, shrinking the window can only
         # shrink the interaction: A(I-A)^{-1} <= block of M(I-M)^{-1}
-        disc = discretize(SPEC, "K", Window.interval(0.0, 8.0), 128)
+        disc = discretize(SPEC, Window.interval(0.0, 8.0), 128)
         M = disc.matrix
         mask = (disc.quad.nodes[:, 0] >= 2.0) & (disc.quad.nodes[:, 0] <= 6.0)
         A = M[np.ix_(mask, mask)]
@@ -222,12 +222,12 @@ class TestInteractionExtension:
         assert np.all(diag <= glob + 1e-9)
 
     def test_restrict_interaction_matches_spectral_transform(self):
-        disc_outer = discretize(SPEC, "K", Window.interval(0.0, 8.0), 128)
+        disc_outer = discretize(SPEC, Window.interval(0.0, 8.0), 128)
         quad_inner = tensor_gauss_legendre(Window.interval(2.0, 6.0), 64)
         j_mid = _resolvent_route(disc_outer, quad_inner)
         # same object as the inner restriction of the outer J_local,
         # up to the Nystrom error of two n = 64-per-4-units rules
-        j_inner = _eigen_map(discretize(SPEC, "K", Window.interval(2.0, 6.0), 64))
+        j_inner = _eigen_map(discretize(SPEC, Window.interval(2.0, 6.0), 64))
         # the Loewner gap: the smallest eigenvalue of j_mid - j_inner
         gap = np.linalg.eigvalsh(j_mid - j_inner)[0]
         assert gap >= -5e-4
@@ -278,7 +278,7 @@ REFERENCE_CASES = [
 class TestHalfSolveForm:
     @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES)
     def test_matches_full_solve_reference(self, spec, window, n):
-        disc = discretize(spec, "K", window, n)
+        disc = discretize(spec, window, n)
         lo, hi = disc.quad.nodes.min(axis=0), disc.quad.nodes.max(axis=0)
         rng = np.random.default_rng(5)
         X = lo + (hi - lo) * rng.random((7, window.dimension))
@@ -289,7 +289,7 @@ class TestHalfSolveForm:
 
     @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES)
     def test_blocks_are_the_diagonal_blocks(self, spec, window, n):
-        disc = discretize(spec, "K", window, n)
+        disc = discretize(spec, window, n)
         rng = np.random.default_rng(6)
         X = np.asarray(window.lower) + np.asarray(window.sides) * rng.random((9, window.dimension))
         offsets = [0, 2, 2, 7, 9]
@@ -303,7 +303,7 @@ class TestHalfSolveForm:
     def test_long_stack_is_the_diagonal_blocks(self, spec, window, n):
         # more than COLUMN_CHUNK points in several runs: one block larger than
         # a run, and empty blocks at the start, in the middle and at the end
-        disc = discretize(spec, "K", window, n)
+        disc = discretize(spec, window, n)
         sizes = [0, 3, COLUMN_CHUNK + 88, 0, 250, 4, 300, 0, 0]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         X = window.lower[0] + window.sides[0] * np.random.default_rng(8).random((offsets[-1], 1))
@@ -316,7 +316,7 @@ class TestHalfSolveForm:
     def test_each_level_solves_once_per_run_of_blocks(self, monkeypatch):
         # a derived-K operator has two levels (its K context and J_[Lambda]);
         # each solves the columns of a run of whole blocks once, not once per block
-        disc = discretize(FiniteRangeFourier(1.0, 0.8), "K", Window.interval(0.0, 6.0), 100)
+        disc = discretize(FiniteRangeFourier(1.0, 0.8), Window.interval(0.0, 6.0), 100)
         X = 6.0 * np.random.default_rng(9).random((2400, 1))
         offsets = np.arange(0, 2401, 6)
         interaction_values(disc, X[:6])  # gate and J_[Lambda] first
@@ -338,7 +338,7 @@ class TestHalfSolveForm:
     @pytest.mark.parametrize("count", [0, 1, 600])
     def test_columns_match_solve_triangular(self, monkeypatch, spec, window, n, count):
         # the direct LAPACK solve gives the bits of scipy's validated one
-        J = _interaction(discretize(spec, "K", window, n))
+        J = _interaction(discretize(spec, window, n))
         X = window.lower[0] + window.sides[0] * np.random.default_rng(12).random((count, 1))
         got = J.columns(X)
 
@@ -357,11 +357,11 @@ class TestHalfSolveForm:
         spec = FiniteRangeFourier(1.0, 0.8, dimension=1)
         window = Window.interval(0.0, 6.0)
         X = np.array([[1.0], [3.0], [3.2], [5.5]])
-        first = discretize(spec, "K", window, 100)
+        first = discretize(spec, window, 100)
         before = interaction_values(first, X), interaction_diagonal(first, X)
         for x in (0.0, -30.0):
             spec.k_values(np.array([[x]]), np.array([[x]]))
-        second = discretize(spec, "K", window, 100)
+        second = discretize(spec, window, 100)
         assert np.array_equal(second.matrix, first.matrix)
         for disc in (first, second):
             assert np.array_equal(interaction_values(disc, X), before[0])
@@ -369,12 +369,12 @@ class TestHalfSolveForm:
 
     def test_concurrent_first_uses_share_one_cache_fill(self):
         spec = FiniteRangeFourier(1.0, 0.8, dimension=1)
-        built = discretize(spec, "K", Window.interval(0.0, 6.0), 100)
+        built = discretize(spec, Window.interval(0.0, 6.0), 100)
         X = np.linspace(0.5, 5.5, 9)[:, None]
         expected = interaction_values(built, X)
         # an operator built directly fills its cache (context, node columns,
         # factor) on first use; six threads race for it
-        fresh = DiscretizedOperator(built.quad, built.matrix, spec, "K")
+        fresh = DiscretizedOperator(built.quad, built.matrix, spec)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -388,9 +388,9 @@ class TestHalfSolveForm:
 
     def test_fredholm_bits_ignore_call_order(self):
         w = Window.interval(0.0, 6.0)
-        first = discretize(SPEC, "K", w, 100)
+        first = discretize(SPEC, w, 100)
         first.spectral()
-        second = discretize(SPEC, "K", w, 100)
+        second = discretize(SPEC, w, 100)
         assert fredholm_det_I_minus(first) == fredholm_det_I_minus(second)
         assert np.array_equal(first.clipped_eigenvalues(), second.clipped_eigenvalues())
 

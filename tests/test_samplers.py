@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from dpplab.errors import BadBound, DomainError, NumericalBreakdown
+from dpplab.errors import DomainError, NumericalBreakdown
 from dpplab.geometry import SampleBatch, Window
 from dpplab.kernels import FiniteRangeFourier, RenewalExponential
 from dpplab.operators import (
@@ -25,7 +25,6 @@ from dpplab.samplers import (
     sample_poisson,
     save_batch,
     stream,
-    total_count,
 )
 
 SPEC = RenewalExponential(0.25, 1.0)
@@ -36,6 +35,11 @@ def same_samples(*batches: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
     """The stacked points and per-sample counts of `batches` read one after another."""
     coords = np.concatenate([b.coords for b in batches])
     return coords, np.concatenate([b.counts() for b in batches])
+
+
+def first_samples(batch: SampleBatch, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked points and per-sample counts of the first k samples of `batch`."""
+    return batch.coords[: batch.offsets[k]], batch.counts()[:k]
 
 
 def equal_samples(a: tuple, b: tuple) -> bool:
@@ -62,30 +66,20 @@ class TestStreams:
 
 class TestPoisson:
     def test_mean_count(self):
-        batch = sample_poisson(0.5, 0.5, WINDOW, 3000, seed=1)
+        batch = sample_poisson(0.5, WINDOW, 3000, seed=1)
         counts = batch.counts()
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - 3.0) <= 4 * se
 
-    def test_thinning_against_envelope(self):
-        batch = sample_poisson(lambda x: 0.25 * np.ones(len(x)), 0.5, WINDOW, 2000, seed=2)
-        counts = batch.counts()
-        se = counts.std(ddof=1) / math.sqrt(len(counts))
-        assert abs(counts.mean() - 1.5) <= 4 * se
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(BadBound):
-            sample_poisson(1.0, 0.5, WINDOW, 10, seed=3)
-
     def test_chunked_equals_monolithic(self):
-        whole = sample_poisson(0.5, 0.5, WINDOW, 40, seed=4)
-        first = sample_poisson(0.5, 0.5, WINDOW, 25, seed=4)
-        rest = sample_poisson(0.5, 0.5, WINDOW, 15, seed=4, index_offset=25)
-        assert equal_samples(same_samples(first, rest), same_samples(whole))
+        # sample i reads stream(seed, i) alone: a first chunk is a shorter call
+        whole = sample_poisson(0.5, WINDOW, 40, seed=4)
+        first = sample_poisson(0.5, WINDOW, 25, seed=4)
+        assert equal_samples(same_samples(first), first_samples(whole, 25))
 
 
 class TestSpectral:
-    disc = discretize(SPEC, "K", WINDOW, 96)
+    disc = discretize(SPEC, WINDOW, 96)
 
     def test_mean_count_matches_trace(self):
         batch = sample_dpp_spectral(SPEC, WINDOW, 96, 4000, seed=5, disc=self.disc)
@@ -106,12 +100,10 @@ class TestSpectral:
         assert equal_samples(same_samples(a), same_samples(b))
 
     def test_chunked_equals_monolithic(self):
+        # sample i reads stream(seed, i) alone: a first chunk is a shorter call
         whole = sample_dpp_spectral(SPEC, WINDOW, 96, 20, seed=8, disc=self.disc)
         first = sample_dpp_spectral(SPEC, WINDOW, 96, 12, seed=8, disc=self.disc)
-        rest = sample_dpp_spectral(
-            SPEC, WINDOW, 96, 8, seed=8, disc=self.disc, index_offset=12
-        )
-        assert equal_samples(same_samples(first, rest), same_samples(whole))
+        assert equal_samples(same_samples(first), first_samples(whole, 12))
 
     def test_points_live_on_nodes_in_window(self):
         batch = sample_dpp_spectral(SPEC, WINDOW, 96, 50, seed=9, disc=self.disc)
@@ -175,7 +167,7 @@ REFERENCE_CASES = [
 class TestChainRule:
     @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES, ids=["renewal", "finite-range-1d", "finite-range-2d"])
     def test_picks_match_the_reference_on_fixed_uniforms(self, spec, window, n):
-        U = discretize(spec, "K", window, n).spectral().eigenvectors
+        U = discretize(spec, window, n).spectral().eigenvectors
         rng = np.random.default_rng(0)
         for k in (1, 2, 5, 9, 12, 16):
             # leading eigenvectors and a random subset, three draws each
@@ -188,7 +180,7 @@ class TestChainRule:
 
     @pytest.mark.parametrize("spec, window, n", REFERENCE_CASES, ids=["renewal", "finite-range-1d", "finite-range-2d"])
     def test_sampler_matches_the_reference_per_draw(self, spec, window, n):
-        disc = discretize(spec, "K", window, n)
+        disc = discretize(spec, window, n)
         batch = sample_dpp_spectral(spec, window, n, 40, seed=21, disc=disc)
         picks = _reference_spectral(disc, 40, seed=21)
         assert max(len(p) for p in picks) >= 12 or window.dimension == 2
@@ -196,13 +188,14 @@ class TestChainRule:
             ref = SampleBatch.from_samples(window, [disc.quad.nodes[pick]], seed=21, method="reference")
             assert equal_samples(same_samples(config), same_samples(ref))
 
-    def test_one_call_equals_single_sample_calls(self):
-        # 300 samples cross a block boundary and regroup every stack
-        disc = discretize(SPEC, "K", WINDOW, 96)
+    @pytest.mark.parametrize("k", [1, 255, 256, 257])
+    def test_one_call_equals_single_sample_calls(self, k):
+        # the first k of 300 samples equal a k-sample call: 300 samples cross
+        # a block boundary, and each k regroups the stacks of equal counts
+        disc = discretize(SPEC, WINDOW, 96)
         whole = sample_dpp_spectral(SPEC, WINDOW, 96, 300, seed=22, disc=disc)
-        for i in range(300):
-            one = sample_dpp_spectral(SPEC, WINDOW, 96, 1, seed=22, disc=disc, index_offset=i)
-            assert np.array_equal(one.coords, whole.coords[whole.offsets[i] : whole.offsets[i + 1]])
+        first = sample_dpp_spectral(SPEC, WINDOW, 96, k, seed=22, disc=disc)
+        assert equal_samples(same_samples(first), first_samples(whole, k))
 
     def test_rank_deficient_basis_breaks_down(self):
         Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((30, 3)))
@@ -231,7 +224,7 @@ class TestChainRule:
 
 class TestBirthDeath:
     def test_mean_count_close_to_trace(self):
-        disc = discretize(SPEC, "K", WINDOW, 64)
+        disc = discretize(SPEC, WINDOW, 64)
         batch = sample_dpp_birth_death(SPEC, WINDOW, 64, 600, seed=11, disc=disc)
         counts = batch.counts()
         se = counts.std(ddof=1) / math.sqrt(len(counts))
@@ -252,8 +245,8 @@ class TestEnvelope:
         ],
     )
     def test_envelope_bounds_the_interaction_diagonal(self, spec, window, n):
-        disc = discretize(spec, "K", window, n)
-        batch = sample_dpp_birth_death(spec, window, n, 1, seed=18, disc=disc, chains=1)
+        disc = discretize(spec, window, n)
+        batch = sample_dpp_birth_death(spec, window, n, 1, seed=18, disc=disc)
         xs = np.linspace(window.lower[0], window.upper[0], 12001)[:, None]
         assert interaction_diagonal(disc, xs).max() <= batch.metadata["envelope"]
 
@@ -262,11 +255,11 @@ class TestDomination:
     def test_dpp_below_its_diagonal_poisson(self):
         z = SPEC.interaction_diagonal
         dpp = sample_dpp_spectral(SPEC, WINDOW, 96, 3000, seed=12)
-        poi = sample_poisson(z, z, WINDOW, 3000, seed=13)
-        report = domination_test(dpp, poi)
-        assert report.ok
-        assert len(report.comparisons) == 3
-        assert {r.name.split("(")[0] for r in report.comparisons} == {
+        poi = sample_poisson(z, WINDOW, 3000, seed=13)
+        comparisons = domination_test(dpp, poi)
+        assert all(c.ok for c in comparisons)
+        assert len(comparisons) == 3
+        assert {r.name.split("(")[0] for r in comparisons} == {
             "total_count",
             "max_quadrant_count",
             "neighbor_count",
@@ -275,16 +268,16 @@ class TestDomination:
     def test_flags_reversed_pair(self):
         z = SPEC.interaction_diagonal
         dpp = sample_dpp_spectral(SPEC, WINDOW, 96, 3000, seed=12)
-        poi = sample_poisson(z, z, WINDOW, 3000, seed=13)
-        report = domination_test(poi, dpp, functionals=[("total_count", total_count)])
-        assert not report.ok
+        poi = sample_poisson(z, WINDOW, 3000, seed=13)
+        count = domination_test(poi, dpp)[0]
+        assert count.name == "total_count" and not count.ok
 
     def test_finite_range_family_dominated_too(self):
         spec = FiniteRangeFourier(1.0, 0.8, dimension=1)
         z = spec.interaction_diagonal
         dpp = sample_dpp_spectral(spec, WINDOW, 96, 2000, seed=14)
-        poi = sample_poisson(z, z, WINDOW, 2000, seed=15)
-        assert domination_test(dpp, poi).ok
+        poi = sample_poisson(z, WINDOW, 2000, seed=15)
+        assert all(c.ok for c in domination_test(dpp, poi))
 
 
 class TestPersistence:
