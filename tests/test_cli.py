@@ -195,9 +195,9 @@ class TestListing:
 
 class TestBlasThreads:
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # at two BLAS threads eigh returns another basis of this run's
-        # repeated eigenspaces, so the draws changed before runs were pinned
-        # to one thread; on a one-core machine both runs are one-thread runs
+        # at two BLAS threads eigh may return another basis of this run's
+        # repeated eigenspaces, which moves the draws unless the run holds
+        # BLAS to one thread; on a one-core machine both runs have one thread
         src = str(Path(dpplab.__file__).resolve().parent.parent)
         outputs = []
         for threads in (None, "1"):
