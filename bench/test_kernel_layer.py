@@ -7,8 +7,14 @@ the square case of `janossy-normalization`: FiniteRangeFourier(R = 0.6,
 amplitude 0.7, d = 2) on [0, 1]^2 with n = 16 nodes per axis, whose
 derived-K context has 46^2 = 2116 nodes.
 
-- `test_context_build`: one `attach_context` (context rule, J on it, one
-  Cholesky factor of I + M_J);
+- `test_context_build`: one `attach_context` (context rule and the
+  per-axis factor of I + M_J: two 46 x 46 `eigh` calls, since J is a
+  product of per-axis factors on a tensor rule);
+- `test_context_build_1d`: the same for FiniteRangeFourier(1, 0.8) on
+  [0, 6], whose 1-D context keeps the Cholesky factor of its dense
+  I + M_J;
+- `test_columns_of_operator_nodes`: the context columns t_x of the 256
+  operator nodes;
 - `test_k_values_of_operator_nodes`: K of the 256 operator nodes against
   a built context;
 - `test_discretize`: the whole `discretize` of the operator (context
@@ -37,6 +43,14 @@ def context():
 
 def test_context_build(benchmark):
     benchmark(SPEC.attach_context, WINDOW)
+
+
+def test_context_build_1d(benchmark):
+    benchmark(FiniteRangeFourier(1.0, 0.8).attach_context, Window.interval(0.0, 6.0))
+
+
+def test_columns_of_operator_nodes(benchmark, context):
+    benchmark(context.columns, tensor_gauss_legendre(WINDOW, N).nodes)
 
 
 def test_k_values_of_operator_nodes(benchmark, context):

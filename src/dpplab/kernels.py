@@ -10,10 +10,16 @@ Two families:
 For the second K is derived from J = K (I - K)^{-1}:
 K = J (I + J)^{-1} = J - J (I + J)^{-1} J.  A context on a padded window
 evaluates this identity in half-solve form, K(x, y) = J(x, y) - t_x . t_y,
-with one Cholesky factor of I + J on its rule.  `HalfSolveKernel` is that
-one construction: a closed form plus Schur-complement levels.  The
+t_x = G^{-1} s_x with G G^T = I + M_J on its rule.  `HalfSolveKernel` is
+that one construction: a closed form plus Schur-complement levels.  The
 context is J with one level of sign -1, and `operators` adds a level of
 sign +1 on an operator's K for the local interaction J_[Lambda].
+
+G is the lower Cholesky factor, except for the 2-D finite-range context:
+there J is a product of per-axis triangular factors on a tensor rule, so
+M_J = a (A_1 kron A_2) and G = (U_1 kron U_2) D^{1/2} comes from two
+per-axis `eigh` calls (`AxisFactor`).  Every later level reads only the
+inner products t_x . t_y, which are the same for any such G.
 
 All kernel values here are real and symmetric in (x, y).
 """
@@ -28,7 +34,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NumericalBreakdown, ParameterOutOfRange
 from .geometry import Window
-from .quadrature import Quadrature, tensor_gauss_legendre
+from .quadrature import Quadrature, axis_rules, tensor_gauss_legendre
 
 
 def _coerce(X) -> np.ndarray:
@@ -169,15 +175,66 @@ class RenewalExponential(Kernel):
 # half-solve kernels: a closed form plus Schur-complement levels
 
 
-def _solve_lower(factor: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """L^{-1} S in place, for a Fortran-ordered lower factor L.
+class AxisFactor(NamedTuple):
+    """G = (U_1 kron U_2) D^{1/2} with G G^T = I + a (A_1 kron A_2).
 
-    The LAPACK call that `scipy.linalg.solve_triangular(L, S, lower=True,
-    overwrite_b=True, check_finite=False)` makes, so the same bits, without
-    scipy's per-call validation, whose cost dominates a one-point solve.
+    A_k = U_k Lambda_k U_k^T is the weighted per-axis table of a product
+    kernel on a tensor rule, and D = 1 + a Lambda_1 kron Lambda_2.
+    """
+
+    u1: np.ndarray
+    u2: np.ndarray
+    scale: np.ndarray  # D^{-1/2}, flat in np.kron order
+
+
+def _cholesky_factor(shifted: np.ndarray, label: str) -> np.ndarray:
+    """The read-only lower Cholesky factor of `shifted` (overwritten)."""
+    try:
+        factor = scipy.linalg.cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"{label}: I - sign * M is not positive definite") from exc
+    if not np.all(np.isfinite(factor)):
+        raise NumericalBreakdown(f"{label}: half-solve factor has non-finite entries")
+    factor.flags.writeable = False
+    return factor
+
+
+def _axis_factor(amplitude: float, table1: np.ndarray, table2: np.ndarray, label: str) -> AxisFactor:
+    """The `AxisFactor` of I + amplitude (table1 kron table2), from two `eigh` calls."""
+    try:
+        (lam1, u1), (lam2, u2) = np.linalg.eigh(table1), np.linalg.eigh(table2)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"{label}: per-axis eigensolve failed") from exc
+    diag = 1.0 + amplitude * np.outer(lam1, lam2).ravel()
+    if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
+        raise NumericalBreakdown(f"{label}: half-solve factor has non-finite entries")
+    if not (np.isfinite(diag).all() and diag.min() > 0.0):
+        raise NumericalBreakdown(f"{label}: I - sign * M is not positive definite")
+    scale = 1.0 / np.sqrt(diag)
+    for part in (u1, u2, scale):
+        part.flags.writeable = False
+    return AxisFactor(u1, u2, scale)
+
+
+def _solve_lower(factor, S: np.ndarray) -> np.ndarray:
+    """G^{-1} S for a level's factor G, in place for a lower Cholesky factor.
+
+    For a Fortran-ordered lower factor L, the LAPACK call that
+    `scipy.linalg.solve_triangular(L, S, lower=True, overwrite_b=True,
+    check_finite=False)` makes, so the same bits, without scipy's per-call
+    validation, whose cost dominates a one-point solve.  For an
+    `AxisFactor`, D^{-1/2} (U_1^T kron U_2^T) S as two matmuls: each column
+    of S, in `np.kron` order, is an (n_1, n_2) table X, and X -> U_1^T X U_2.
     """
     if S.size == 0:
         return np.empty_like(S)
+    if isinstance(factor, AxisFactor):
+        n1, n2, p = len(factor.u1), len(factor.u2), S.shape[1]
+        # the rows of S.T are the tables; for Fortran-ordered S this reshape is a view
+        tables = (S.T.reshape(p * n1, n2) @ factor.u2).reshape(p, n1, n2)
+        out = np.matmul(factor.u1.T, tables).reshape(p, n1 * n2).T
+        out *= factor.scale[:, None]
+        return out
     out, info = scipy.linalg.lapack.dtrtrs(factor, S, lower=1, overwrite_b=1)
     if info:
         raise NumericalBreakdown(f"half-solve triangular solve failed (LAPACK info {info})")
@@ -190,7 +247,7 @@ class HalfSolveLevel(NamedTuple):
     rule: Quadrature
     sign: float
     node_columns: tuple  # the earlier levels' columns at the rule's nodes
-    factor: np.ndarray  # lower Cholesky factor L of I - sign * M
+    factor: np.ndarray | AxisFactor  # G with G G^T = I - sign * M
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +257,13 @@ class HalfSolveKernel:
     k_0 is J for a derived family (whose K has no closed form) and K
     otherwise.  A level on a rule with nodes z_i and weights w_i, with
     M[i, j] = sqrt(w_i w_j) k(z_i, z_j) for the kernel k before it and
-    the lower Cholesky factor L L^T = I - sign * M, adds
+    any factor G G^T = I - sign * M, adds
 
-        sign * t_x . t_y,   t_x = L^{-1} s_x,   s_x[i] = sqrt(w_i) k(z_i, x).
+        sign * t_x . t_y,   t_x = G^{-1} s_x,   s_x[i] = sqrt(w_i) k(z_i, x).
+
+    G is the lower Cholesky factor (`extend`), or an `AxisFactor` for a
+    product J on a tensor rule (`FiniteRangeFourier`'s 2-D context); the
+    sum does not depend on which.
 
     Sign -1 on J gives the derived K = J - J (I + J)^{-1} J (a Schur
     complement of the PSD J Gram matrix of x and the weighted nodes plus
@@ -222,16 +283,10 @@ class HalfSolveKernel:
     def extend(self, rule: Quadrature, sign: float, shifted: np.ndarray, node_columns: tuple) -> "HalfSolveKernel":
         """This kernel plus one level on `rule`.
 
-        `shifted` is I - sign * M (it is overwritten), and `node_columns`
-        is `columns(rule.nodes)`.
+        `shifted` is I - sign * M (it is overwritten; the level keeps its
+        lower Cholesky factor), and `node_columns` is `columns(rule.nodes)`.
         """
-        try:
-            factor = scipy.linalg.cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown(f"{self.spec.label}: I - sign * M is not positive definite") from exc
-        if not np.all(np.isfinite(factor)):
-            raise NumericalBreakdown(f"{self.spec.label}: half-solve factor has non-finite entries")
-        factor.flags.writeable = False
+        factor = _cholesky_factor(shifted, self.spec.label)
         return HalfSolveKernel(self.spec, self.levels + (HalfSolveLevel(rule, sign, node_columns, factor),))
 
     def columns(self, X: np.ndarray) -> tuple:
@@ -295,12 +350,17 @@ class DerivedKernel(Kernel):
         J with one level of sign -1 on a rule over the padded window."""
         pad = self.context_pad_ranges * self.declared_range
         span = max(window.sides) + 2 * pad
-        n = int(math.ceil(span * self.context_nodes_per_range / self.declared_range))
-        quad = tensor_gauss_legendre(window.pad(pad), max(n, 8))
+        n = max(int(math.ceil(span * self.context_nodes_per_range / self.declared_range)), 8)
+        quad = tensor_gauss_legendre(window.pad(pad), n)
+        return HalfSolveKernel(self, (HalfSolveLevel(quad, -1.0, (), self._context_factor(quad, n)),))
+
+    def _context_factor(self, quad: Quadrature, n: int):
+        """A factor G G^T = I + M_J of J on the context rule (n nodes per
+        axis): the lower Cholesky factor of the dense table."""
         sw = quad.sqrt_weights
         shifted = self.j_values(quad.nodes, quad.nodes) * np.outer(sw, sw)
         shifted[np.diag_indices_from(shifted)] += 1.0
-        return HalfSolveKernel(self).extend(quad, -1.0, shifted, ())
+        return _cholesky_factor(shifted, self.label)
 
     def bounding_window(self, *point_sets: np.ndarray) -> Window:
         """Bounding box of the points, each side at least half the interaction range."""
@@ -361,15 +421,29 @@ class FiniteRangeFourier(DerivedKernel):
         X, Y = _coerce(X), _coerce(Y)
         self._check_dim(X)
         self._check_dim(Y)
-        # the triangular factor axis by axis
         vals = np.ones((X.shape[0], Y.shape[0]))
         for i in range(self.dimension):
-            factor = np.abs(X[:, i, None] - Y[None, :, i])
-            factor /= self.R
-            np.subtract(1.0, factor, out=factor)
-            vals *= np.clip(factor, 0.0, None, out=factor)
+            vals *= self._triangle(X[:, i], Y[:, i])
         vals *= self.amplitude
         return vals
+
+    def _triangle(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The per-axis factor (1 - |x_i - y_j| / R)^+ of the profile."""
+        factor = np.abs(x[:, None] - y[None, :])
+        factor /= self.R
+        np.subtract(1.0, factor, out=factor)
+        return np.clip(factor, 0.0, None, out=factor)
+
+    def _context_factor(self, quad: Quadrature, n: int):
+        """In 2-D, the `AxisFactor` of I + M_J: M_J = a (A_1 kron A_2) with
+        A_k[i, j] = sqrt(w_i w_j) (1 - |x_i - x_j| / R)^+ on axis k's rule."""
+        if self.dimension == 1:
+            return super()._context_factor(quad, n)
+        tables = []
+        for x, w in axis_rules(quad.window, n):
+            sw = np.sqrt(w)
+            tables.append(self._triangle(x, x) * np.outer(sw, sw))
+        return _axis_factor(self.amplitude, *tables, self.label)
 
     def diagonal_bound(self) -> float:
         # a context's K(x, x) = J(x, x) - |t_x|^2 <= J(x, x) = j(0)

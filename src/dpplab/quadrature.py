@@ -83,14 +83,19 @@ def default_panels(window: Window, n: int) -> int:
     return max(1, n // 10)
 
 
-def tensor_gauss_legendre(window: Window, n: int, panels: int | None = None) -> Quadrature:
-    """Tensor rule with n nodes per axis (n^d total), composite per axis."""
+def axis_rules(window: Window, n: int, panels: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The per-axis (nodes, weights) of `tensor_gauss_legendre(window, n, panels)`.
+
+    Its nodes are their product in `np.kron` order, the first axis slowest.
+    """
     if panels is None:
         panels = default_panels(window, n)
-    axes = [
-        _axis_rule(lo, hi, n, panels)
-        for lo, hi in zip(window.lower, window.upper)
-    ]
+    return [_axis_rule(lo, hi, n, panels) for lo, hi in zip(window.lower, window.upper)]
+
+
+def tensor_gauss_legendre(window: Window, n: int, panels: int | None = None) -> Quadrature:
+    """Tensor rule with n nodes per axis (n^d total), composite per axis."""
+    axes = axis_rules(window, n, panels)
     if window.dimension == 1:
         nodes = axes[0][0][:, None]
         weights = axes[0][1]

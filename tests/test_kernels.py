@@ -1,14 +1,16 @@
 """Kernel families: closed-form values, symmetry, and positivity."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpplab.errors import ParameterOutOfRange
+from dpplab import kernels
+from dpplab.errors import NumericalBreakdown, ParameterOutOfRange
 from dpplab.geometry import Window
-from dpplab.kernels import FiniteRangeFourier, RenewalExponential, renewal_closed_forms
+from dpplab.kernels import AxisFactor, FiniteRangeFourier, HalfSolveKernel, RenewalExponential, renewal_closed_forms
 from dpplab.operators import discretize, fredholm_det_I_minus
 
 
@@ -165,3 +167,114 @@ def test_diagonals_match_the_matrices(spec, dimension):
     assert np.all(k_diag >= 0.0)
     assert np.all(k_diag <= j_diag)
     assert k_diag.max() <= spec.diagonal_bound()
+
+
+# the square case of janossy-normalization, and a non-square window with
+# another range and amplitude (its two axis rules differ)
+AXIS_CASES = [
+    (FiniteRangeFourier(0.6, 0.7, dimension=2), Window.box((0.0, 0.0), (1.0, 1.0))),
+    (FiniteRangeFourier(1.0, 1.5, dimension=2), Window.box((0.0, 0.0), (3.0, 2.0))),
+]
+
+
+def dense_context(ctx: HalfSolveKernel) -> HalfSolveKernel:
+    """The reference: the same context rule with the lower Cholesky factor of the dense I + M_J."""
+    spec, rule = ctx.spec, ctx.levels[0].rule
+    sw = rule.sqrt_weights
+    shifted = spec.j_values(rule.nodes, rule.nodes) * np.outer(sw, sw)
+    shifted[np.diag_indices_from(shifted)] += 1.0
+    return HalfSolveKernel(spec).extend(rule, -1.0, shifted, ())
+
+
+def kron_apply(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(A kron B) V for V with len(A) * len(B) rows."""
+    p = V.shape[1]
+    tables = V.T.reshape(p, len(A), len(B))
+    return (A @ tables @ B.T).reshape(p, -1).T
+
+
+@pytest.mark.parametrize("spec, window", AXIS_CASES, ids=["janossy-square", "non-square"])
+class TestAxisFactorContext:
+    def test_factor_is_per_axis(self, spec, window):
+        ctx = spec.attach_context(window)
+        factor = ctx.levels[0].factor
+        assert isinstance(factor, AxisFactor)
+        assert len(factor.u1) * len(factor.u2) == ctx.levels[0].rule.size == factor.scale.size
+
+    def test_factor_squares_to_the_dense_table_in_kron_order(self, spec, window):
+        # G G^T - I, G = (U_1 kron U_2) D^{1/2}, against columns of the dense weighted J table
+        ctx = spec.attach_context(window)
+        u1, u2, scale = ctx.levels[0].factor
+        rule = ctx.levels[0].rule
+        cols = np.random.default_rng(3).choice(rule.size, 24, replace=False)
+        E = np.zeros((rule.size, cols.size))
+        E[cols, np.arange(cols.size)] = 1.0
+        GGt = kron_apply(u1, u2, kron_apply(u1.T, u2.T, E) / scale[:, None] ** 2)
+        sw = rule.sqrt_weights
+        dense = spec.j_values(rule.nodes, rule.nodes[cols]) * np.outer(sw, sw[cols])
+        assert np.abs(GGt - E - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def test_values_and_diagonal_match_the_dense_cholesky_context(self, spec, window):
+        ctx = spec.attach_context(window)
+        ref = dense_context(ctx)
+        X = np.array(window.lower) + np.array(window.sides) * np.random.default_rng(4).random((120, 2))
+        want = ref.values(X, X)
+        scale = np.abs(want).max()
+        assert np.abs(ctx.values(X, X) - want).max() <= 1e-13 * scale
+        assert np.abs(ctx.diagonal(X) - ref.diagonal(X)).max() <= 1e-13 * scale
+
+    def test_k_is_psd_and_below_j(self, spec, window):
+        ctx = spec.attach_context(window)
+        X = np.array(window.lower) + np.array(window.sides) * np.random.default_rng(5).random((120, 2))
+        K = ctx.values(X, X)
+        assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-12
+        k_diag = ctx.diagonal(X)
+        j_diag = spec.j_diagonal(X)
+        assert np.all(k_diag >= 0.0)
+        assert np.all(k_diag <= j_diag)
+        assert j_diag.max() <= spec.diagonal_bound()
+
+
+def test_one_dimensional_context_keeps_its_cholesky_factor():
+    factor = FiniteRangeFourier(1.0, 0.8).attach_context(Window.interval(0.0, 6.0)).levels[0].factor
+    assert isinstance(factor, np.ndarray)
+    assert np.array_equal(factor, np.tril(factor))
+
+
+@pytest.mark.parametrize(
+    "table1, table2",
+    [
+        (np.diag([-2.0, 1.0]), np.eye(1)),  # D has a negative entry
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)),  # D is not finite
+    ],
+    ids=["indefinite", "non-finite"],
+)
+def test_axis_factor_breakdown(table1, table2):
+    with pytest.raises(NumericalBreakdown):
+        kernels._axis_factor(1.0, table1, table2, "test")
+
+
+def _traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestContextMemory:
+    """The 2-D context holds no dense table of its 2116 nodes.
+
+    One 2116^2 float64 table is 34 MiB; the dense Cholesky context peaked
+    at 136.7 MiB in both calls.
+    """
+
+    spec = FiniteRangeFourier(0.6, 0.7, dimension=2)
+    window = Window.box((0.0, 0.0), (1.0, 1.0))
+
+    def test_attach_context_peak(self):
+        assert _traced_peak_mib(lambda: self.spec.attach_context(self.window)) < 4.0
+
+    def test_discretize_peak(self):
+        assert _traced_peak_mib(lambda: discretize(self.spec, self.window, 16)) < 34.0
